@@ -12,17 +12,6 @@
 namespace luis::ilp {
 namespace {
 
-/// Full-token strtod: succeeds only when the entire token is a number.
-/// "3.5.2" or "1e" parse a prefix and leave trailing garbage, which the
-/// end-pointer check rejects — the bug class this guards against is such
-/// tokens being silently misread as 3.5 (or as variable names).
-bool parse_full_number(const std::string& tok, double& out) {
-  if (tok.empty()) return false;
-  char* end = nullptr;
-  out = std::strtod(tok.c_str(), &end);
-  return end == tok.c_str() + tok.size();
-}
-
 bool is_number_token(const std::string& tok) {
   double unused;
   return parse_full_number(tok, unused);

@@ -1,7 +1,6 @@
 #include "ilp/simplex.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <vector>
 
@@ -134,8 +133,9 @@ PivotResult run_pivots(Tableau& t, std::vector<int>& basis,
   return result;
 }
 
-/// The original dense two-phase tableau simplex, kept verbatim as the
-/// differential-testing baseline for the revised core (`--lp-core=dense`).
+/// The original dense two-phase tableau simplex, kept as the
+/// differential-testing reference for the revised core (fuzz oracle 5 and
+/// bench_ilp's old-vs-new gate).
 Solution solve_lp_dense(const Model& model, const SimplexOptions& opt,
                         std::span<const BoundsOverride> overrides) {
   Solution sol;
@@ -336,21 +336,19 @@ Solution solve_lp_dense(const Model& model, const SimplexOptions& opt,
   // ---- Phase 2: the real objective (always minimized internally). ----
   const double sign = model.objective_direction() == Direction::Minimize ? 1.0 : -1.0;
   std::vector<double> cost(total_cols, 0.0);
-  double const_cost = sign * model.objective().constant();
+  // The objective constant and fixed-variable offsets are not tracked: the
+  // final objective is recomputed from the recovered values.
   for (const auto& [var, coeff] : model.objective().terms()) {
     const ColumnMap& cm = map[static_cast<std::size_t>(var)];
     const double c = sign * coeff;
     switch (cm.kind) {
     case ColumnMap::Kind::Fixed:
-      const_cost += c * cm.offset;
       break;
     case ColumnMap::Kind::Shifted:
       cost[static_cast<std::size_t>(cm.column)] += c;
-      const_cost += c * cm.offset;
       break;
     case ColumnMap::Kind::Mirrored:
       cost[static_cast<std::size_t>(cm.column)] -= c;
-      const_cost += c * cm.offset;
       break;
     case ColumnMap::Kind::Split:
       cost[static_cast<std::size_t>(cm.column)] += c;
@@ -410,24 +408,13 @@ Solution solve_lp_dense(const Model& model, const SimplexOptions& opt,
   sol.status = SolveStatus::Optimal;
   sol.objective = model.objective_value(sol.values);
   sol.best_bound = sol.objective;
-  (void)const_cost; // objective recomputed from values; kept for clarity
   return sol;
 }
-
-std::atomic<LpCore> g_default_core{LpCore::Revised};
 
 } // namespace
 
 const char* to_string(LpCore core) {
   return core == LpCore::Dense ? "dense" : "revised";
-}
-
-LpCore default_lp_core() {
-  return g_default_core.load(std::memory_order_relaxed);
-}
-
-void set_default_lp_core(LpCore core) {
-  g_default_core.store(core, std::memory_order_relaxed);
 }
 
 Solution solve_lp(const Model& model, const SimplexOptions& opt,

@@ -1,6 +1,5 @@
 #include "ir/parser.hpp"
 
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <optional>
@@ -75,20 +74,26 @@ public:
 
   ParseResult run() {
     ParseResult result;
-    std::vector<std::string> lines;
+    struct Line {
+      int number = 0; ///< 1-based line in the source text
+      std::string text;
+    };
+    std::vector<Line> lines;
     {
       std::istringstream is{std::string(text_)};
       std::string line;
+      int number = 0;
       while (std::getline(is, line)) {
+        ++number;
         const auto t = trim(line);
-        if (!t.empty()) lines.emplace_back(t);
+        if (!t.empty()) lines.push_back({number, std::string(t)});
       }
     }
-    if (lines.empty() || !starts_with(lines.front(), "func @")) {
+    if (lines.empty() || !starts_with(lines.front().text, "func @")) {
       result.error = "expected 'func @name {'";
       return result;
     }
-    std::string header = lines.front();
+    const std::string& header = lines.front().text;
     const auto brace = header.find('{');
     std::string fname{trim(header.substr(6, brace == std::string::npos
                                                 ? std::string::npos
@@ -97,11 +102,12 @@ public:
 
     // Pass 1: create blocks and arrays.
     for (std::size_t i = 1; i < lines.size(); ++i) {
-      const std::string& line = lines[i];
+      const std::string& line = lines[i].text;
       if (line == "}") break;
       if (starts_with(line, "array @")) {
-        if (!parse_array(line)) {
-          result.error = "bad array declaration: " + line;
+        const std::string err = parse_array(line);
+        if (!err.empty()) {
+          result.error = at(lines[i].number) + err + " in: " + line;
           return result;
         }
       } else if (line.back() == ':') {
@@ -112,7 +118,8 @@ public:
     // Pass 2: instructions.
     BasicBlock* current = nullptr;
     for (std::size_t i = 1; i < lines.size(); ++i) {
-      const std::string& line = lines[i];
+      const std::string& line = lines[i].text;
+      line_no_ = lines[i].number;
       if (line == "}") break;
       if (starts_with(line, "array @")) continue;
       if (line.back() == ':') {
@@ -120,92 +127,148 @@ public:
         continue;
       }
       if (!current) {
-        result.error = "instruction outside of a block: " + line;
+        result.error = at(line_no_) + "instruction outside of a block: " + line;
         return result;
       }
-      std::string err = parse_instruction(current, line);
+      const std::string err = parse_instruction(current, line);
       if (!err.empty()) {
-        result.error = err + " in line: " + line;
+        result.error = at(line_no_) + err + " in: " + line;
         return result;
       }
     }
 
-    // Resolve pending (forward) references.
-    for (const auto& [inst, slot, token] : pending_) {
-      Value* v = resolve(token);
+    // Resolve pending (forward) references; the tokens are well-formed.
+    for (const Pending& p : pending_) {
+      Value* v = nullptr;
+      resolve(p.token, v);
       if (!v) {
-        result.error = "unresolved operand " + token;
+        result.error = at(p.line_no) + "unresolved operand " + p.token;
         return result;
       }
-      inst->set_operand(slot, v);
+      p.inst->set_operand(p.slot, v);
     }
     result.function = function_;
     return result;
   }
 
 private:
-  bool parse_array(const std::string& line) {
-    // array @NAME[d0][d1]... [range [lo, hi]]
-    std::size_t pos = 7; // after "array @"
-    std::size_t bracket = line.find('[', pos);
-    if (bracket == std::string::npos) return false;
+  static std::string at(int line_no) {
+    return "line " + std::to_string(line_no) + ": ";
+  }
+
+  /// Parses `array @NAME[d0][d1]... [range [lo, hi]]`. Returns an error
+  /// message, empty on success.
+  std::string parse_array(const std::string& line) {
+    const std::size_t pos = 7; // after "array @"
+    const std::size_t bracket = line.find('[', pos);
+    if (bracket == std::string::npos) return "missing array extent";
     const std::string name = line.substr(pos, bracket - pos);
     std::vector<std::int64_t> dims;
     std::size_t cursor = bracket;
     while (cursor < line.size() && line[cursor] == '[') {
       const std::size_t close = line.find(']', cursor);
-      if (close == std::string::npos) return false;
-      dims.push_back(std::atoll(line.substr(cursor + 1, close - cursor - 1).c_str()));
+      if (close == std::string::npos) return "unterminated array extent";
+      const std::string_view tok =
+          trim(std::string_view(line).substr(cursor + 1, close - cursor - 1));
+      std::int64_t extent = 0;
+      if (!parse_full_int(tok, extent))
+        return "bad array extent '" + std::string(tok) + "'";
+      dims.push_back(extent);
       cursor = close + 1;
-      if (cursor < line.size() && line[cursor] == ' ') break;
     }
     Array* arr = function_->add_array(name, std::move(dims));
-    const std::size_t range_at = line.find("range [", cursor);
-    if (range_at != std::string::npos) {
-      const std::size_t open = range_at + 7;
-      const std::size_t comma = line.find(',', open);
-      const std::size_t close = line.find(']', open);
-      if (comma == std::string::npos || close == std::string::npos) return false;
-      arr->annotate_range(std::strtod(line.substr(open, comma - open).c_str(), nullptr),
-                          std::strtod(line.substr(comma + 1, close - comma - 1).c_str(),
-                                      nullptr));
+    const std::string_view rest = trim(std::string_view(line).substr(cursor));
+    if (rest.empty()) return "";
+    if (!starts_with(rest, "range [") || rest.back() != ']')
+      return "expected 'range [lo, hi]' after the extents";
+    const auto bounds = split_fields(rest.substr(7, rest.size() - 8), ',');
+    double lo = 0.0, hi = 0.0;
+    if (bounds.size() != 2 ||
+        !parse_full_number(std::string(trim(bounds[0])), lo) ||
+        !parse_full_number(std::string(trim(bounds[1])), hi))
+      return "bad range '" + std::string(rest) + "'";
+    arr->annotate_range(lo, hi);
+    return "";
+  }
+
+  /// Resolves an operand token: `%ID`, `@ARRAY` or a literal, each parsed
+  /// in full. Returns false for a malformed token. Otherwise `out` is the
+  /// value, or nullptr for a name not defined yet (the caller defers it).
+  bool resolve(const std::string& token, Value*& out) {
+    out = nullptr;
+    if (token.empty()) return false;
+    if (token[0] == '%') {
+      std::int64_t id = 0;
+      if (!parse_full_int(std::string_view(token).substr(1), id) || id < 0)
+        return false;
+      const auto it = by_id_.find(id);
+      if (it != by_id_.end()) out = it->second;
+      return true;
     }
+    if (token[0] == '@') {
+      out = function_->array_by_name(token.substr(1));
+      return true;
+    }
+    if (is_real_literal(token)) {
+      double value = 0.0;
+      if (!parse_full_number(token, value)) return false;
+      out = function_->const_real(value);
+      return true;
+    }
+    std::int64_t value = 0;
+    if (!parse_full_int(token, value)) return false;
+    out = function_->const_int(value);
     return true;
   }
 
-  /// Resolves an operand token to a value, or nullptr if it names an
-  /// instruction id that has not been defined (caller defers it).
-  Value* resolve(const std::string& token) {
-    if (token.empty()) return nullptr;
-    if (token[0] == '%') {
-      const int id = std::atoi(token.c_str() + 1);
-      const auto it = by_id_.find(id);
-      return it == by_id_.end() ? nullptr : it->second;
+  /// Adds the (trimmed) `tokens` as operands `first`, `first + 1`, ... of
+  /// `inst`, deferring forward refs. Returns an error for a malformed
+  /// token, empty on success.
+  std::string add_operands(Instruction* inst, std::size_t first,
+                           const std::vector<std::string>& tokens) {
+    for (std::size_t i = 0; i < tokens.size(); ++i) {
+      const std::string token{trim(tokens[i])};
+      Value* v = nullptr;
+      if (!resolve(token, v)) return "malformed operand '" + token + "'";
+      if (v)
+        inst->set_operand(first + i, v);
+      else
+        pending_.push_back({inst, first + i, token, line_no_});
     }
-    if (token[0] == '@') return function_->array_by_name(token.substr(1));
-    if (is_real_literal(token))
-      return function_->const_real(std::strtod(token.c_str(), nullptr));
-    return function_->const_int(std::atoll(token.c_str()));
+    return "";
   }
 
-  /// Adds `token` as operand `slot` of `inst`, deferring forward refs.
-  void add_operand(Instruction* inst, std::size_t slot, const std::string& token) {
-    Value* v = resolve(token);
-    if (v) {
-      inst->set_operand(slot, v);
-    } else {
-      pending_.emplace_back(inst, slot, token);
+  /// Splits an address `@A[i][j]...` into its array and index tokens.
+  /// Returns an error message, empty on success.
+  std::string parse_address(const std::string& addr, Array*& arr,
+                            std::vector<std::string>& indices) {
+    const std::size_t bracket = addr.find('[');
+    if (addr.empty() || addr[0] != '@' || bracket == std::string::npos)
+      return "bad address";
+    arr = function_->array_by_name(addr.substr(1, bracket - 1));
+    if (!arr) return "unknown array '" + addr.substr(1, bracket - 1) + "'";
+    std::size_t cursor = bracket;
+    while (cursor < addr.size() && addr[cursor] == '[') {
+      const std::size_t close = addr.find(']', cursor);
+      if (close == std::string::npos) return "unterminated index";
+      indices.push_back(addr.substr(cursor + 1, close - cursor - 1));
+      cursor = close + 1;
     }
+    if (cursor != addr.size())
+      return "trailing text after index: '" + addr.substr(cursor) + "'";
+    return "";
   }
 
   std::string parse_instruction(BasicBlock* bb, const std::string& line) {
     std::string body = line;
     bool has_result = false;
-    int result_id = -1;
+    std::int64_t result_id = -1;
     if (body[0] == '%') {
       const std::size_t eq = body.find('=');
       if (eq == std::string::npos) return "missing '='";
-      result_id = std::atoi(body.c_str() + 1);
+      const std::string_view id = trim(std::string_view(body).substr(1, eq - 1));
+      if (!parse_full_int(id, result_id) || result_id < 0)
+        return "bad result id '%" + std::string(id) + "'";
       has_result = true;
       body = std::string(trim(body.substr(eq + 1)));
     }
@@ -217,6 +280,7 @@ private:
     if (!op) return "unknown opcode '" + opname + "'";
 
     Instruction* inst = nullptr;
+    std::string err;
     switch (*op) {
     case Opcode::Phi: {
       // phi TYPE [ tok, block ], [ tok, block ]...
@@ -237,12 +301,13 @@ private:
         const std::size_t close = rest.find(']', cursor);
         if (comma == std::string::npos || close == std::string::npos)
           return "bad phi incoming";
-        const std::string tok{trim(rest.substr(cursor + 1, comma - cursor - 1))};
+        const std::string tok = rest.substr(cursor + 1, comma - cursor - 1);
         const std::string bname{trim(rest.substr(comma + 1, close - comma - 1))};
         BasicBlock* from = function_->block_by_name(bname);
         if (!from) return "unknown block " + bname;
         inst->add_incoming(nullptr, from);
-        add_operand(inst, inst->num_operands() - 1, tok);
+        err = add_operands(inst, inst->num_operands() - 1, {tok});
+        if (!err.empty()) return err;
         cursor = rest.find('[', close);
       }
       break;
@@ -257,62 +322,39 @@ private:
       inst = bb->append(std::make_unique<Instruction>(
           *op, ScalarType::Bool, std::vector<Value*>{nullptr, nullptr}));
       inst->set_predicate(*pred);
-      add_operand(inst, 0, std::string(trim(toks[0])));
-      add_operand(inst, 1, std::string(trim(toks[1])));
+      err = add_operands(inst, 0, toks);
       break;
     }
     case Opcode::Load: {
       // load @A[i][j]...
-      const std::size_t bracket = rest.find('[');
-      if (rest.empty() || rest[0] != '@' || bracket == std::string::npos)
-        return "bad load";
-      Array* arr = function_->array_by_name(rest.substr(1, bracket - 1));
-      if (!arr) return "unknown array in load";
+      Array* arr = nullptr;
       std::vector<std::string> idx_tokens;
-      std::size_t cursor = bracket;
-      while (cursor != std::string::npos && cursor < rest.size() &&
-             rest[cursor] == '[') {
-        const std::size_t close = rest.find(']', cursor);
-        if (close == std::string::npos) return "bad load index";
-        idx_tokens.emplace_back(trim(rest.substr(cursor + 1, close - cursor - 1)));
-        cursor = close + 1;
-      }
+      err = parse_address(rest, arr, idx_tokens);
+      if (!err.empty()) return err;
       std::vector<Value*> ops(1 + idx_tokens.size(), nullptr);
       ops[0] = arr;
       inst = bb->append(std::make_unique<Instruction>(Opcode::Load,
                                                       ScalarType::Real,
                                                       std::move(ops)));
-      for (std::size_t i = 0; i < idx_tokens.size(); ++i)
-        add_operand(inst, 1 + i, idx_tokens[i]);
+      err = add_operands(inst, 1, idx_tokens);
       break;
     }
     case Opcode::Store: {
       // store tok, @A[i][j]...
       const std::size_t comma = rest.find(',');
       if (comma == std::string::npos) return "bad store";
-      const std::string vtok{trim(rest.substr(0, comma))};
-      const std::string addr{trim(rest.substr(comma + 1))};
-      const std::size_t bracket = addr.find('[');
-      if (addr.empty() || addr[0] != '@' || bracket == std::string::npos)
-        return "bad store address";
-      Array* arr = function_->array_by_name(addr.substr(1, bracket - 1));
-      if (!arr) return "unknown array in store";
+      Array* arr = nullptr;
       std::vector<std::string> idx_tokens;
-      std::size_t cursor = bracket;
-      while (cursor < addr.size() && addr[cursor] == '[') {
-        const std::size_t close = addr.find(']', cursor);
-        if (close == std::string::npos) return "bad store index";
-        idx_tokens.emplace_back(trim(addr.substr(cursor + 1, close - cursor - 1)));
-        cursor = close + 1;
-      }
+      err = parse_address(std::string(trim(rest.substr(comma + 1))), arr,
+                          idx_tokens);
+      if (!err.empty()) return err;
       std::vector<Value*> ops(2 + idx_tokens.size(), nullptr);
       ops[1] = arr;
       inst = bb->append(std::make_unique<Instruction>(Opcode::Store,
                                                       ScalarType::Void,
                                                       std::move(ops)));
-      add_operand(inst, 0, vtok);
-      for (std::size_t i = 0; i < idx_tokens.size(); ++i)
-        add_operand(inst, 2 + i, idx_tokens[i]);
+      err = add_operands(inst, 0, {rest.substr(0, comma)});
+      if (err.empty()) err = add_operands(inst, 2, idx_tokens);
       break;
     }
     case Opcode::Br: {
@@ -332,10 +374,11 @@ private:
       inst = bb->append(std::make_unique<Instruction>(
           Opcode::CondBr, ScalarType::Void, std::vector<Value*>{nullptr}));
       inst->set_targets({t, e});
-      add_operand(inst, 0, std::string(trim(toks[0])));
+      err = add_operands(inst, 0, {toks[0]});
       break;
     }
     case Opcode::Ret: {
+      if (!rest.empty()) return "ret takes no operands";
       inst = bb->append(std::make_unique<Instruction>(Opcode::Ret, ScalarType::Void,
                                                       std::vector<Value*>{}));
       break;
@@ -344,13 +387,12 @@ private:
       const auto toks = split_fields(rest, ',');
       if (toks.size() != 3) return "select needs three operands";
       // Result type follows the true arm: literal form or earlier def.
-      const std::string arm{trim(toks[1])};
       ScalarType type = ScalarType::Real;
-      if (Value* v = resolve(arm)) type = v->type();
+      Value* arm = nullptr;
+      if (resolve(std::string(trim(toks[1])), arm) && arm) type = arm->type();
       inst = bb->append(std::make_unique<Instruction>(
           Opcode::Select, type, std::vector<Value*>{nullptr, nullptr, nullptr}));
-      for (std::size_t i = 0; i < 3; ++i)
-        add_operand(inst, i, std::string(trim(toks[i])));
+      err = add_operands(inst, 0, toks);
       break;
     }
     default: {
@@ -358,21 +400,30 @@ private:
                                      : split_fields(rest, ',');
       inst = bb->append(std::make_unique<Instruction>(
           *op, result_type_of(*op), std::vector<Value*>(toks.size(), nullptr)));
-      for (std::size_t i = 0; i < toks.size(); ++i)
-        add_operand(inst, i, std::string(trim(toks[i])));
+      err = add_operands(inst, 0, toks);
       break;
     }
     }
+    if (!err.empty()) return err;
 
     if (has_result) by_id_[result_id] = inst;
     return "";
   }
 
+  /// An operand naming an instruction defined later in the text.
+  struct Pending {
+    Instruction* inst = nullptr;
+    std::size_t slot = 0;
+    std::string token;
+    int line_no = 0;
+  };
+
   Module& module_;
   std::string_view text_;
   Function* function_ = nullptr;
-  std::map<int, Instruction*> by_id_;
-  std::vector<std::tuple<Instruction*, std::size_t, std::string>> pending_;
+  int line_no_ = 0; ///< source line of the instruction being parsed
+  std::map<std::int64_t, Instruction*> by_id_;
+  std::vector<Pending> pending_;
 };
 
 } // namespace

@@ -1,7 +1,9 @@
 #include "support/string_utils.hpp"
 
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 namespace luis {
 
@@ -28,6 +30,20 @@ std::string_view trim(std::string_view text) {
 
 bool starts_with(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
+}
+
+bool parse_full_number(const std::string& tok, double& out) {
+  if (tok.empty()) return false;
+  char* end = nullptr;
+  out = std::strtod(tok.c_str(), &end);
+  return end == tok.c_str() + tok.size();
+}
+
+bool parse_full_int(std::string_view tok, std::int64_t& out) {
+  if (tok.empty()) return false;
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, out);
+  return ec == std::errc() && ptr == end;
 }
 
 std::string format_string(const char* fmt, ...) {

@@ -1,6 +1,7 @@
 // String helpers used by the IR printer/parser and report generators.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -14,6 +15,13 @@ std::vector<std::string> split_fields(std::string_view text, char sep);
 std::string_view trim(std::string_view text);
 
 bool starts_with(std::string_view text, std::string_view prefix);
+
+/// Full-token number parsing: succeeds only when the entire token is a
+/// number. "3.5.2", "1e" or "0,1" parse a prefix and leave trailing
+/// garbage, which is rejected rather than silently read as the prefix.
+bool parse_full_number(const std::string& tok, double& out);
+/// Decimal integer, optionally negative.
+bool parse_full_int(std::string_view tok, std::int64_t& out);
 
 /// printf-style formatting into a std::string.
 std::string format_string(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

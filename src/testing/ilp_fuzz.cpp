@@ -242,8 +242,9 @@ CheckResult check_ilp_instance(const ilp::Model& model,
 
   // Oracle 5: the dense tableau core and the sparse revised core solve the
   // same problem — a status, optimum, or proven-bound disagreement is a
-  // bug in one of them. (`base` runs under the session default core, so
-  // the differential also covers whichever core oracle 1 just validated.)
+  // bug in one of them. Oracle 1 checked the revised core (the only one
+  // production uses) against enumeration; this checks the dense reference
+  // against it.
   BranchAndBoundOptions dense = base;
   dense.lp.core = ilp::LpCore::Dense;
   BranchAndBoundOptions revised = base;

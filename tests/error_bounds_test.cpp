@@ -5,10 +5,12 @@
 
 #include "analysis/error_bounds.hpp"
 #include "analysis/lint.hpp"
+#include "core/pipeline.hpp"
 #include "interp/engine.hpp"
 #include "ir/kernel_builder.hpp"
 #include "ir/parser.hpp"
 #include "numrep/quantize.hpp"
+#include "polybench/polybench.hpp"
 #include "support/rng.hpp"
 #include "vra/range_analysis.hpp"
 
@@ -238,6 +240,65 @@ TEST(ErrorBounds, RelativeNormalizesByRangeScale) {
   ASSERT_GT(scale, 0.0);
   EXPECT_NEAR(r.relative(C, ranges), r.errors.of(C) / scale, 1e-18);
 }
+
+// B[0] = B[0] / A[0] with A straddling zero: the quotient has no finite
+// bound, and the stored array falls back to its representation cap.
+TEST(ErrorBounds, DivisionByZeroStraddlingRangeIsUnbounded) {
+  ir::Module m;
+  KernelBuilder kb(m, "div0");
+  Array* A = kb.array("A", {1}, -1.0, 1.0);
+  Array* B = kb.array("B", {1}, 1.0, 2.0);
+  kb.store(kb.load(B, {kb.idx(0)}) / kb.load(A, {kb.idx(0)}), B, {kb.idx(0)});
+  ir::Function* f = kb.finish();
+  const ErrorAnalysisResult r =
+      analyze(*f, assign_all_except(*f, {numrep::kFixed32, 16}));
+  const Instruction* div = find_real_inst(*f, Opcode::Div);
+  ASSERT_NE(div, nullptr);
+  EXPECT_EQ(r.errors.of(div), ErrorMap::kUnbounded);
+  EXPECT_GT(r.capped_bounds, 0);
+  EXPECT_TRUE(std::isfinite(r.errors.of(B)));
+}
+
+// Soundness on every PolyBench kernel: the measured worst-case absolute
+// output deviation of the Fast/Stm32-tuned kernel from the binary64 run on
+// the bundled inputs stays within cert(tuned) + cert(binary64).
+class ErrorSoundness : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ErrorSoundness, PredictedBoundCoversMeasuredError) {
+  ir::Module m;
+  polybench::BuiltKernel kernel = polybench::build_kernel(GetParam(), m);
+  const ir::Function& f = *kernel.function;
+  core::PipelineOptions options;
+  options.analyze_errors = true;
+  const core::PipelineResult tuned =
+      core::tune_kernel(*kernel.function, platform::stm32_table(),
+                        core::TuningConfig::fast(), options);
+  const ErrorAnalysisResult reference =
+      analyze_errors(f, TypeAssignment(), tuned.ranges);
+
+  interp::ArrayStore ref = kernel.inputs;
+  ASSERT_TRUE(interp::run_function(f, TypeAssignment(), ref).ok);
+  interp::ArrayStore out = kernel.inputs;
+  ASSERT_TRUE(interp::run_function(f, tuned.allocation.assignment, out).ok);
+
+  for (const std::string& o : kernel.outputs) {
+    double measured = 0.0;
+    for (std::size_t i = 0; i < ref.at(o).size(); ++i)
+      measured = std::max(measured, std::abs(ref.at(o)[i] - out.at(o)[i]));
+    const ir::Array* arr = f.array_by_name(o);
+    EXPECT_LE(measured, tuned.errors.errors.of(arr) + reference.errors.of(arr))
+        << GetParam() << "/" << o;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, ErrorSoundness,
+                         ::testing::ValuesIn(polybench::kernel_names()),
+                         [](const auto& info) {
+                           std::string name = info.param;
+                           for (char& c : name)
+                             if (c == '-') c = '_';
+                           return name;
+                         });
 
 // ---------------------------------------------------------------------------
 // Error-aware lint rules (L008-L011): each fires on a dedicated negative

@@ -242,6 +242,52 @@ TEST(Parser, RejectsMalformedInput) {
   EXPECT_FALSE(parse_function(m, "not a function").ok());
   EXPECT_FALSE(parse_function(m, "func @f {\nentry:\n  %0 = bogus 1, 2\n}").ok());
   EXPECT_FALSE(parse_function(m, "func @f {\nentry:\n  br nowhere\n}").ok());
+  EXPECT_FALSE(
+      parse_function(m, "func @f {\nentry:\n  %0x = add 1.0, 2.0\n  ret\n}")
+          .ok());
+  EXPECT_FALSE(parse_function(m, "func @f {\nentry:\n  ret 0\n}").ok());
+}
+
+// Every operand, extent and range token must parse in full: a token with
+// trailing garbage is an error naming its line, never silently read as
+// its numeric prefix.
+std::string parse_error(const std::string& array_decl,
+                        const std::string& store_addr) {
+  Module m;
+  return parse_function(m, "func @f {\n  " + array_decl + "\nentry:\n" +
+                               "  %0 = load @C[0][1]\n" +
+                               "  store %0, " + store_addr + "\n  ret\n}")
+      .error;
+}
+
+TEST(Parser, RejectsCommaInsideIndex) {
+  const std::string err = parse_error("array @C[2][3]", "@C[%0,%0][1]");
+  EXPECT_NE(err.find("line 5"), std::string::npos) << err;
+  EXPECT_NE(err.find("'%0,%0'"), std::string::npos) << err;
+}
+
+TEST(Parser, RejectsTrailingGarbageInId) {
+  const std::string err = parse_error("array @C[2][3]", "@C[%0xyz][1]");
+  EXPECT_NE(err.find("line 5"), std::string::npos) << err;
+  EXPECT_NE(err.find("'%0xyz'"), std::string::npos) << err;
+}
+
+TEST(Parser, RejectsNonNumericIndex) {
+  const std::string err = parse_error("array @C[2][3]", "@C[abc][1]");
+  EXPECT_NE(err.find("line 5"), std::string::npos) << err;
+  EXPECT_NE(err.find("'abc'"), std::string::npos) << err;
+}
+
+TEST(Parser, RejectsNonNumericExtent) {
+  const std::string err = parse_error("array @C[x2][3]", "@C[1][0]");
+  EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+  EXPECT_NE(err.find("'x2'"), std::string::npos) << err;
+}
+
+TEST(Parser, RejectsMalformedRangeBound) {
+  const std::string err =
+      parse_error("array @C[2][3] range [-1.5x, 2]", "@C[1][0]");
+  EXPECT_NE(err.find("line 2"), std::string::npos) << err;
 }
 
 TEST(Function, ConstantInterning) {

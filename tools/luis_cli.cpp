@@ -45,9 +45,6 @@
 //                         JSON file (open in Perfetto / chrome://tracing)
 //   --metrics-out FILE    write the process metrics registry as JSON
 //   --log-level L         error|warn|info|debug (default info)
-//   --lp-core C           LP engine under every MILP solve: revised (the
-//                         sparse revised simplex, default) or dense (the
-//                         original tableau baseline; see docs/SOLVER.md)
 //
 // profile options:
 //   --platform P          op-time table pricing the report (as in tune)
@@ -187,7 +184,6 @@
 #include "core/cast_materializer.hpp"
 #include "frontend/parser.hpp"
 #include "core/pipeline.hpp"
-#include "ilp/simplex.hpp"
 #include "core/sweep.hpp"
 #include "interp/engine.hpp"
 #include "ir/parser.hpp"
@@ -216,7 +212,6 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: luis [--trace-out F] [--metrics-out F] [--log-level L] "
-               "[--lp-core revised|dense] "
                "<kernels|formats|emit|compile|print|verify|ranges|tune|"
                "lint|check|run|disasm|characterize|sweep|fuzz|profile|version> "
                "[args]\n(see the "
@@ -1383,22 +1378,9 @@ bool extract_global_flags(const std::vector<std::string>& all,
       }
       return false;
     };
-    std::string level, core;
+    std::string level;
     if (value_of("--trace-out", trace_path)) continue;
     if (value_of("--metrics-out", metrics_path)) continue;
-    if (value_of("--lp-core", core)) {
-      if (core == "revised") {
-        ilp::set_default_lp_core(ilp::LpCore::Revised);
-      } else if (core == "dense") {
-        ilp::set_default_lp_core(ilp::LpCore::Dense);
-      } else {
-        std::fprintf(stderr,
-                     "luis: unknown LP core '%s' (want revised|dense)\n",
-                     core.c_str());
-        return false;
-      }
-      continue;
-    }
     if (value_of("--log-level", level)) {
       const auto parsed = parse_log_level(level);
       if (!parsed) {

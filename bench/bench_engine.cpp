@@ -1,5 +1,5 @@
-// Sweep interpretation throughput: batched lane execution vs. the scalar
-// VM, on the exact workload the sweep driver hands the engine.
+// Sweep interpretation throughput: batched lane execution vs. one VM run
+// per job, on the exact workload the sweep driver hands the engine.
 //
 // Setup (untimed): every kernel's (config x platform) grid — the Multi
 // preset plus the three Table III presets over all four platforms — is
@@ -11,7 +11,10 @@
 // same way).
 //
 // Timed, per kernel:
-//   scalar  one engine.run() per grid job — the pre-batching sweep loop;
+//   scalar  one engine.run() per grid job (a batch of one lane each) — the
+//           pre-batching sweep loop; the column keeps its name, and the
+//           JSON its "scalar_seconds" field, for comparison with older
+//           BENCH_engine.json records;
 //   batch   dedup the job assignments into unique lanes, then one
 //           engine.run_batch() — what the sweep's batch path executes.
 //
@@ -165,7 +168,7 @@ bool verify_lanes(const interp::VmEngine& vm, const ir::Function& f,
   return true;
 }
 
-/// `reps` scalar executions of every grid job: the pre-batching sweep
+/// `reps` one-lane executions of every grid job: the pre-batching sweep
 /// loop interprets each job separately, duplicate assignments included.
 double time_scalar(const interp::VmEngine& vm, const ir::Function& f,
                    const std::vector<Lane>& lanes,
@@ -228,6 +231,14 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  for (const std::string& name : kernels)
+    if (!polybench::is_kernel(name)) {
+      std::fprintf(stderr, "bench_engine: unknown kernel '%s'\n"
+                           "usage: bench_engine [--kernels a,b,c] "
+                           "[--configs c1,c2] [--reps N] [--json PATH]\n",
+                   name.c_str());
+      return 2;
+    }
 
   interp::ProgramCache cache;
   const interp::VmEngine vm(&cache);

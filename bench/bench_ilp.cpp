@@ -104,8 +104,15 @@ int main(int argc, char** argv) {
       out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--merged-only") == 0) {
       merged_only = true;
-    } else {
+    } else if (polybench::is_kernel(argv[i])) {
       kernels.emplace_back(argv[i]);
+    } else {
+      if (std::strcmp(argv[i], "--help") != 0)
+        std::fprintf(stderr, "bench_ilp: unknown kernel or option '%s'\n",
+                     argv[i]);
+      std::fprintf(stderr, "usage: bench_ilp [--out FILE] [--merged-only] "
+                           "[kernel...]\n");
+      return 2;
     }
   }
   if (kernels.empty()) {

@@ -16,6 +16,11 @@ using namespace luis;
 
 int main(int argc, char** argv) {
   const std::string kernel_name = argc > 1 ? argv[1] : "atax";
+  if (argc > 2 || !polybench::is_kernel(kernel_name)) {
+    std::fprintf(stderr, "usage: error_bounds [kernel]  (a PolyBench kernel "
+                         "name; default atax)\n");
+    return 2;
+  }
 
   ir::Module module;
   polybench::BuiltKernel kernel = polybench::build_kernel(kernel_name, module);

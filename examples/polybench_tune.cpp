@@ -29,12 +29,23 @@ int main(int argc, char** argv) {
       std::printf("%s\n", name.c_str());
     return 0;
   }
+  const auto usage = [] {
+    std::fprintf(stderr, "usage: polybench_tune [kernel] [platform] [config] "
+                         "| polybench_tune list\n");
+    return 2;
+  };
+  if (argc > 4) return usage();
+  if (!polybench::is_kernel(kernel_name)) {
+    std::fprintf(stderr, "unknown kernel '%s' (polybench_tune list)\n",
+                 kernel_name.c_str());
+    return usage();
+  }
 
   const platform::OpTimeTable* table = platform::platform_by_name(platform_name);
   if (!table) {
     std::fprintf(stderr, "unknown platform '%s' (Stm32/Raspberry/Intel/AMD)\n",
                  platform_name.c_str());
-    return 1;
+    return usage();
   }
   core::TuningConfig config;
   if (config_name == "Fast")
@@ -46,7 +57,7 @@ int main(int argc, char** argv) {
   else {
     std::fprintf(stderr, "unknown config '%s' (Fast/Balanced/Precise)\n",
                  config_name.c_str());
-    return 1;
+    return usage();
   }
 
   ir::Module module;

@@ -42,21 +42,18 @@ struct SweepOptions {
   bool use_cache = true;
   /// Execution engine for every interpretation in the sweep: "vm" (the
   /// bytecode engine, default) or "ref" (the tree-walking reference).
-  /// Results are bit-identical either way.
+  /// Each kernel's tuned assignments execute as the lanes of one engine
+  /// run_batch: the kernel is parsed once, duplicate assignments collapse
+  /// into a single lane, and the VM walks the shared control skeleton
+  /// once per lane group (the reference engine runs its lanes one by
+  /// one). Results are bit-identical either way.
   std::string engine = "vm";
-  /// Execute the tuned assignments of each kernel as parallel lanes of
-  /// one batched engine run (ExecutionEngine::run_batch) instead of one
-  /// scalar run per job: the kernel is parsed once, duplicate assignments
-  /// collapse into a single lane, and the VM walks the shared control
-  /// skeleton once per lane group. Per-job speedup/MPE are bit-identical
-  /// to the scalar path; only the timing split differs.
-  bool batch = true;
   /// After the (possibly parallel) sweep, serially re-tune every ILP job
   /// and verify it reproduces the same assignment and objective.
   bool check_determinism = true;
-  /// Shadow-execute every tuned job (scalar and batched paths alike): the
-  /// VM carries a lockstep binary64 shadow and each job's row gains the
-  /// in-engine MPE, max abs/rel deviation, and control-divergence count
+  /// Shadow-execute every tuned job: the VM carries a lockstep binary64
+  /// shadow and each job's row gains the in-engine MPE, max abs/rel
+  /// deviation, and control-divergence count
   /// (see docs/OBSERVABILITY.md, "Numerical-error profiling"). Quantized
   /// outputs are bit-identical with this on.
   bool errors = false;
@@ -107,11 +104,10 @@ struct SweepStats {
   /// -1 when the check is disabled; otherwise the number of jobs whose
   /// serial re-tune disagreed with the sweep result (0 = proven).
   int determinism_mismatches = -1;
-  /// Batched-execution stats (all zero with SweepOptions::batch off): one
-  /// "run" per kernel whose tuned jobs executed as lanes of a single
-  /// batched engine call; `lanes` counts the job executions served that
-  /// way and `unique_lanes` the deduplicated assignments actually
-  /// interpreted.
+  /// Batched-execution stats: one "run" per kernel whose tuned jobs
+  /// executed as lanes of a single batched engine call; `lanes` counts
+  /// the job executions served that way and `unique_lanes` the
+  /// deduplicated assignments actually interpreted.
   long batch_runs = 0;
   long batch_lanes = 0;
   long batch_unique_lanes = 0;

@@ -81,7 +81,8 @@ std::vector<std::uint8_t> compute_varying(const CompiledProgram& p) {
 
 /// A set of lanes executing in lockstep: same pc, same control history.
 /// Type-independent ("uniform") registers are stored once per group; a
-/// divergent CondBr splits the group, each half inheriting a copy.
+/// divergent CondBr splits the group, each half inheriting a copy. The
+/// one-lane executor leaves `lanes` empty: its only lane is lane 0.
 struct Group {
   std::vector<std::int32_t> lanes;
   long steps = 0;
@@ -92,16 +93,29 @@ struct Group {
   std::vector<std::uint8_t> ubools;
 };
 
-} // namespace
+/// The lane list of the one-lane executor.
+constexpr std::int32_t kLaneZero[1] = {0};
 
-std::vector<RunResult>
-run_batch_programs(std::span<const BatchLane> lanes, const ir::Function& f,
-                   const BatchRunOptions& options) {
-  const auto L = static_cast<std::int32_t>(lanes.size());
-  LUIS_ASSERT(L > 0, "run_batch_programs needs at least one lane");
+/// What flat_index returns for an out-of-bounds access.
+constexpr std::size_t kOutOfBounds = std::numeric_limits<std::size_t>::max();
+
+/// The executor, instantiated for one lane (kOne) and for many. With one
+/// lane the register-file stride is the constant 1, lane loops have a
+/// fixed extent of one, per-lane tables resolve to lane 0, and every
+/// register is uniform — so the taint analysis, the per-lane integer and
+/// boolean files, the per-lane index check and the CondBr split drop out.
+/// The hottest helpers (fetch_real, geti, unpacked_one) are forced inline:
+/// this function is large enough that GCC's growth limits otherwise leave
+/// them out of line, which measured 5-10% slower per instruction.
+template <bool kOne>
+std::vector<RunResult> run_lanes(std::span<const BatchLane> lanes,
+                                 const ir::Function& f,
+                                 const BatchRunOptions& options) {
+  const std::size_t L = kOne ? 1 : lanes.size();
   const CompiledProgram& p0 = *lanes[0].program;
   const RunOptions& opt = options.run;
-  std::vector<RunResult> results(static_cast<std::size_t>(L));
+  const long max_steps = opt.max_steps;
+  std::vector<RunResult> results(L);
 
   // Shape checks: every lane must come from one compile_programs() batch
   // over this function (identical skeleton).
@@ -109,27 +123,60 @@ run_batch_programs(std::span<const BatchLane> lanes, const ir::Function& f,
               "compiled program does not match the function shape");
   LUIS_ASSERT(f.arrays().size() == p0.arrays.size(),
               "compiled program does not match the function arrays");
-  std::vector<const CompiledProgram*> progs(static_cast<std::size_t>(L));
-  for (std::int32_t l = 0; l < L; ++l) {
-    const CompiledProgram& p = *lanes[static_cast<std::size_t>(l)].program;
-    progs[static_cast<std::size_t>(l)] = &p;
-    LUIS_ASSERT(p.code.size() == p0.code.size() &&
-                    p.num_regs == p0.num_regs &&
-                    p.blocks.size() == p0.blocks.size() &&
-                    p.edges.size() == p0.edges.size() &&
-                    p.moves.size() == p0.moves.size() &&
-                    p.arrays.size() == p0.arrays.size() &&
-                    p.entry_edge == p0.entry_edge,
-                "batch lanes do not share one compiled skeleton");
+  std::vector<const CompiledProgram*> progs(kOne ? 0 : L);
+  if constexpr (!kOne) {
+    for (std::size_t l = 0; l < L; ++l) {
+      const CompiledProgram& p = *lanes[l].program;
+      progs[l] = &p;
+      LUIS_ASSERT(p.code.size() == p0.code.size() &&
+                      p.num_regs == p0.num_regs &&
+                      p.blocks.size() == p0.blocks.size() &&
+                      p.edges.size() == p0.edges.size() &&
+                      p.moves.size() == p0.moves.size() &&
+                      p.arrays.size() == p0.arrays.size() &&
+                      p.entry_edge == p0.entry_edge,
+                  "batch lanes do not share one compiled skeleton");
+    }
   }
+
+  // Per-lane views: the lane's program, its instruction at a pc, its
+  // instrumentation. The one-lane instantiation resolves them to lane 0.
+  VmProfile* const profile0 = lanes[0].profile;
+  ErrorProfile* const errors0 = lanes[0].errors;
+  const auto prog = [&](std::int32_t l) -> const CompiledProgram& {
+    if constexpr (kOne) return p0;
+    else return *progs[static_cast<std::size_t>(l)];
+  };
+  const auto inst = [&](std::int32_t l, std::int32_t pc) -> const BInst& {
+    return prog(l).code[static_cast<std::size_t>(pc)];
+  };
+  const auto profile_of = [&](std::int32_t l) {
+    if constexpr (kOne) return profile0;
+    else return lanes[static_cast<std::size_t>(l)].profile;
+  };
+  const auto errors_of = [&](std::int32_t l) {
+    if constexpr (kOne) return errors0;
+    else return lanes[static_cast<std::size_t>(l)].errors;
+  };
+  const auto lanes_of = [&](const Group& g) {
+    if constexpr (kOne) return std::span<const std::int32_t, 1>(kLaneZero);
+    else return std::span<const std::int32_t>(g.lanes);
+  };
+  const auto lead = [&](const Group& g) -> std::int32_t {
+    if constexpr (kOne) return 0;
+    else return g.lanes.front();
+  };
+  // Slot of register (or array, or phi move) r for lane l in a
+  // struct-of-arrays file.
+  const auto at = [&](std::int32_t r, std::int32_t l) {
+    return static_cast<std::size_t>(r) * L + static_cast<std::size_t>(l);
+  };
 
   const bool track_regs = opt.track_register_ranges;
   const bool track_arrays = opt.track_array_ranges;
 
-  // Per-lane array range observation (same NaN-skipping min/max as the
-  // scalar VM).
-  std::vector<std::map<std::string, std::pair<double, double>>> array_ranges(
-      static_cast<std::size_t>(L));
+  // Per-lane array range observation (NaN-skipping min/max).
+  std::vector<std::map<std::string, std::pair<double, double>>> array_ranges(L);
   const auto observe_array = [&](std::int32_t l, const std::string& name,
                                  double v) {
     if (std::isnan(v)) return;
@@ -146,8 +193,8 @@ run_batch_programs(std::span<const BatchLane> lanes, const ir::Function& f,
   // keeps the hot loop simple; sweep batches enable errors for all lanes
   // or none). Deviations are recorded only into lanes that asked.
   bool any_errors = false;
-  for (std::int32_t l = 0; l < L; ++l) {
-    ErrorProfile* const ep = lanes[static_cast<std::size_t>(l)].errors;
+  for (const BatchLane& lane : lanes) {
+    ErrorProfile* const ep = lane.errors;
     if (!ep) continue;
     any_errors = true;
     ep->instr.assign(p0.code.size(), ErrorCell{});
@@ -165,30 +212,28 @@ run_batch_programs(std::span<const BatchLane> lanes, const ir::Function& f,
   }
 
   // Bind every lane's array buffers by name and quantize initial contents
-  // with the lane's own array formats: buffers[array * L + lane]. Shadow
-  // buffers capture the raw (pre-quantization) contents.
-  std::vector<std::vector<double>*> buffers(p0.arrays.size() *
-                                            static_cast<std::size_t>(L));
+  // with the lane's own array formats: buffers[at(array, lane)]. Shadow
+  // buffers capture the raw (pre-quantization) contents — the shadow
+  // world never quantizes, including at initialization.
+  std::vector<std::vector<double>*> buffers(p0.arrays.size() * L);
   std::vector<std::vector<double>> shadow_buffers(
-      any_errors ? p0.arrays.size() * static_cast<std::size_t>(L) : 0);
-  for (std::int32_t l = 0; l < L; ++l) {
-    const CompiledProgram& p = *progs[static_cast<std::size_t>(l)];
-    ArrayStore& store = *lanes[static_cast<std::size_t>(l)].store;
+      any_errors ? p0.arrays.size() * L : 0);
+  for (std::size_t l = 0; l < L; ++l) {
+    const CompiledProgram& p = prog(static_cast<std::int32_t>(l));
+    ArrayStore& store = *lanes[l].store;
     for (std::size_t ai = 0; ai < p.arrays.size(); ++ai) {
       const ArrayBinding& ab = p.arrays[ai];
       auto& buf = store[ab.name];
       buf.resize(static_cast<std::size_t>(ab.element_count), 0.0);
-      if (any_errors)
-        shadow_buffers[ai * static_cast<std::size_t>(L) +
-                       static_cast<std::size_t>(l)] = buf;
+      if (any_errors) shadow_buffers[ai * L + l] = buf;
       const numrep::QuantSpec& spec =
           p.specs[static_cast<std::size_t>(ab.spec)];
       for (double& v : buf) {
         v = ab.init_conv(spec, v);
-        if (track_arrays) observe_array(l, ab.name, v);
+        if (track_arrays)
+          observe_array(static_cast<std::int32_t>(l), ab.name, v);
       }
-      buffers[ai * static_cast<std::size_t>(L) +
-              static_cast<std::size_t>(l)] = &buf;
+      buffers[ai * L + l] = &buf;
     }
   }
 
@@ -200,11 +245,11 @@ run_batch_programs(std::span<const BatchLane> lanes, const ir::Function& f,
   // Register ordinal -> Instruction*, for range attribution only.
   std::vector<const Instruction*> inst_of;
   std::vector<std::map<const Instruction*, std::pair<double, double>>>
-      register_ranges(static_cast<std::size_t>(L));
+      register_ranges(L);
   if (track_regs) {
     inst_of.reserve(static_cast<std::size_t>(p0.num_regs));
     for (const auto& bb : f.blocks())
-      for (const auto& inst : bb->instructions()) inst_of.push_back(inst.get());
+      for (const auto& in : bb->instructions()) inst_of.push_back(in.get());
   }
   const auto observe_reg = [&](std::int32_t l, std::int32_t r, double v) {
     if (std::isnan(v)) return;
@@ -216,25 +261,35 @@ run_batch_programs(std::span<const BatchLane> lanes, const ir::Function& f,
     }
   };
 
-  // Struct-of-arrays register file: slot r of lane l at [r * L + l].
+  // Struct-of-arrays register file: slot r of lane l at at(r, l). Integer
+  // and boolean registers that can differ across lanes live in the
+  // per-lane files; the rest live once per group.
   const auto nregs = static_cast<std::size_t>(p0.num_regs);
-  std::vector<double> reals(nregs * static_cast<std::size_t>(L), 0.0);
-  std::vector<double> shadow_reals(
-      any_errors ? nregs * static_cast<std::size_t>(L) : 0, 0.0);
-  std::vector<std::int64_t> vints(nregs * static_cast<std::size_t>(L), 0);
-  std::vector<std::uint8_t> vbools(nregs * static_cast<std::size_t>(L), 0);
-  const std::vector<std::uint8_t> varying = compute_varying(p0);
+  std::vector<double> reals(nregs * L, 0.0);
+  std::vector<double> shadow_reals(any_errors ? nregs * L : 0, 0.0);
+  std::vector<std::int64_t> vints(kOne ? 0 : nregs * L, 0);
+  std::vector<std::uint8_t> vbools(kOne ? 0 : nregs * L, 0);
+  std::vector<std::uint8_t> varying;
+  if constexpr (!kOne) varying = compute_varying(p0);
+  const auto varies = [&](std::int32_t r) {
+    if constexpr (kOne) return false;
+    else return varying[static_cast<std::size_t>(r)] != 0;
+  };
 
   // Per-lane dense counters over the lane's own counter table.
-  std::vector<std::vector<long>> counts(static_cast<std::size_t>(L));
-  for (std::int32_t l = 0; l < L; ++l)
-    counts[static_cast<std::size_t>(l)].assign(
-        progs[static_cast<std::size_t>(l)]->counter_keys.size(), 0);
+  std::vector<std::vector<long>> counts(L);
+  for (std::size_t l = 0; l < L; ++l)
+    counts[l].assign(prog(static_cast<std::int32_t>(l)).counter_keys.size(), 0);
+  long* const counts0 = counts[0].data();
+  const auto bump = [&](std::int32_t l, std::int32_t counter) {
+    if constexpr (kOne) ++counts0[counter];
+    else ++counts[static_cast<std::size_t>(l)][static_cast<std::size_t>(counter)];
+  };
 
   // Per-lane profiles (per-pc counts attributed to each lane).
   bool any_profile = false;
-  for (std::int32_t l = 0; l < L; ++l) {
-    VmProfile* const prof = lanes[static_cast<std::size_t>(l)].profile;
+  for (const BatchLane& lane : lanes) {
+    VmProfile* const prof = lane.profile;
     if (!prof) continue;
     any_profile = true;
     prof->instr_executions.assign(p0.code.size(), 0);
@@ -242,45 +297,30 @@ run_batch_programs(std::span<const BatchLane> lanes, const ir::Function& f,
     prof->select_real_first.assign(p0.code.size(), 0);
   }
 
-  const auto fetch_real = [&](const RealArg& a, std::int32_t l) {
-    double v = a.reg >= 0 ? reals[static_cast<std::size_t>(a.reg) *
-                                      static_cast<std::size_t>(L) +
-                                  static_cast<std::size_t>(l)]
-                          : a.imm;
-    if (a.cast_counter >= 0)
-      ++counts[static_cast<std::size_t>(l)]
-              [static_cast<std::size_t>(a.cast_counter)];
-    if (a.conv)
-      v = a.conv(progs[static_cast<std::size_t>(l)]
-                     ->specs[static_cast<std::size_t>(a.spec)],
-                 v);
+  const auto fetch_real = [&](const RealArg& a, std::int32_t l)
+      __attribute__((always_inline)) {
+    double v = a.reg >= 0 ? reals[at(a.reg, l)] : a.imm;
+    if (a.cast_counter >= 0) bump(l, a.cast_counter);
+    if (a.conv) v = a.conv(prog(l).specs[static_cast<std::size_t>(a.spec)], v);
     return v;
   };
   const auto fetch_exact = [&](const RealArg& a, std::int32_t l) {
-    if (a.cast_counter >= 0)
-      ++counts[static_cast<std::size_t>(l)]
-              [static_cast<std::size_t>(a.cast_counter)];
-    return a.reg >= 0 ? reals[static_cast<std::size_t>(a.reg) *
-                                  static_cast<std::size_t>(L) +
-                              static_cast<std::size_t>(l)]
-                      : a.imm;
+    if (a.cast_counter >= 0) bump(l, a.cast_counter);
+    return a.reg >= 0 ? reals[at(a.reg, l)] : a.imm;
   };
   // Shadow operand fetch / register write: raw values, never converted.
   const auto fetch_shadow = [&](const RealArg& a, std::int32_t l) {
-    return a.reg >= 0 ? shadow_reals[static_cast<std::size_t>(a.reg) *
-                                         static_cast<std::size_t>(L) +
-                                     static_cast<std::size_t>(l)]
-                      : a.shadow_imm;
+    return a.reg >= 0 ? shadow_reals[at(a.reg, l)] : a.shadow_imm;
   };
   const auto set_shadow = [&](std::int32_t r, std::int32_t l, double s) {
-    shadow_reals[static_cast<std::size_t>(r) * static_cast<std::size_t>(L) +
-                 static_cast<std::size_t>(l)] = s;
+    shadow_reals[at(r, l)] = s;
   };
-  // Same deviation accounting as the scalar VM's record() — step counts,
-  // spike placement, and cell contents are bit-identical per lane.
+  // Records the deviation of one quantized real write against its shadow
+  // value. `at_pc` is -1 for phi moves (they have no program counter;
+  // their spikes carry the move's destination register instead).
   const auto record = [&](std::int32_t l, ErrorCell& cell, double q, double s,
                           std::int32_t at_pc, std::int32_t at_src, long step) {
-    ErrorProfile& ep = *lanes[static_cast<std::size_t>(l)].errors;
+    ErrorProfile& ep = *errors_of(l);
     double abs_err = std::fabs(q - s);
     if (std::isnan(abs_err)) abs_err = std::numeric_limits<double>::infinity();
     double rel_err;
@@ -298,11 +338,11 @@ run_batch_programs(std::span<const BatchLane> lanes, const ir::Function& f,
         ep.first_spike_src = at_src;
         ep.first_spike_rel = rel_err;
       }
+      obs::Args args;
+      args.str("function", p0.function_name);
+      if (!kOne) args.num("lane", l);
       obs::instant("vm.error_spike", "vm",
-                   obs::Args()
-                       .str("function", p0.function_name)
-                       .num("lane", l)
-                       .num("pc", at_pc)
+                   args.num("pc", at_pc)
                        .num("src", at_src)
                        .num("rel", rel_err)
                        .num("step", step)
@@ -312,33 +352,34 @@ run_batch_programs(std::span<const BatchLane> lanes, const ir::Function& f,
 
   // Integer/boolean reads route to the group's uniform copy or the
   // per-lane slot depending on the taint analysis.
-  const auto geti = [&](const IntArg& a, const Group& g, std::int32_t l) {
+  const auto geti = [&](const IntArg& a, const Group& g, std::int32_t l)
+      __attribute__((always_inline)) {
     if (a.reg < 0) return a.imm;
-    const auto r = static_cast<std::size_t>(a.reg);
-    return varying[r] ? vints[r * static_cast<std::size_t>(L) +
-                              static_cast<std::size_t>(l)]
-                      : g.uints[r];
+    return varies(a.reg) ? vints[at(a.reg, l)]
+                         : g.uints[static_cast<std::size_t>(a.reg)];
   };
-  const auto getb = [&](std::int32_t reg, const Group& g, std::int32_t l) {
-    const auto r = static_cast<std::size_t>(reg);
-    return (varying[r] ? vbools[r * static_cast<std::size_t>(L) +
-                                static_cast<std::size_t>(l)]
-                       : g.ubools[r]) != 0;
+  const auto getb = [&](std::int32_t r, const Group& g, std::int32_t l) {
+    return (varies(r) ? vbools[at(r, l)]
+                      : g.ubools[static_cast<std::size_t>(r)]) != 0;
   };
 
   // Does any index operand of this Load/Store differ across lanes?
-  std::vector<std::uint8_t> index_varying(p0.code.size(), 0);
-  for (std::size_t pc = 0; pc < p0.code.size(); ++pc) {
-    const BInst& bi = p0.code[pc];
-    if (bi.kind != BInst::Kind::Load && bi.kind != BInst::Kind::Store) continue;
-    for (std::int32_t d = 0; d < bi.index_count; ++d) {
-      const IntArg& a =
-          p0.index_args[static_cast<std::size_t>(bi.index_start + d)];
-      if (a.reg >= 0 && varying[static_cast<std::size_t>(a.reg)])
-        index_varying[pc] = 1;
+  std::vector<std::uint8_t> index_varying(kOne ? 0 : p0.code.size(), 0);
+  std::vector<std::size_t> lane_flat(kOne ? 0 : L);
+  if constexpr (!kOne) {
+    for (std::size_t pc = 0; pc < p0.code.size(); ++pc) {
+      const BInst& bi = p0.code[pc];
+      if (bi.kind != BInst::Kind::Load && bi.kind != BInst::Kind::Store)
+        continue;
+      for (std::int32_t d = 0; d < bi.index_count; ++d) {
+        const IntArg& a =
+            p0.index_args[static_cast<std::size_t>(bi.index_start + d)];
+        if (a.reg >= 0 && varies(a.reg)) index_varying[pc] = 1;
+      }
     }
   }
 
+  // Flat element index of a Load/Store for lane l, or kOutOfBounds.
   const auto flat_index = [&](const BInst& bi, const Group& g,
                               std::int32_t l) {
     const ArrayBinding& ab = p0.arrays[static_cast<std::size_t>(bi.array)];
@@ -346,11 +387,9 @@ run_batch_programs(std::span<const BatchLane> lanes, const ir::Function& f,
     for (std::int32_t d = 0; d < bi.index_count; ++d) {
       const std::int64_t idx = geti(
           p0.index_args[static_cast<std::size_t>(bi.index_start + d)], g, l);
-      LUIS_ASSERT(idx >= 0 && idx < ab.dims[static_cast<std::size_t>(d)],
-                  "array index out of bounds on " + ab.name);
-      flat = flat * static_cast<std::size_t>(
-                        ab.dims[static_cast<std::size_t>(d)]) +
-             static_cast<std::size_t>(idx);
+      const std::int64_t dim = ab.dims[static_cast<std::size_t>(d)];
+      if (idx < 0 || idx >= dim) return kOutOfBounds;
+      flat = flat * static_cast<std::size_t>(dim) + static_cast<std::size_t>(idx);
     }
     return flat;
   };
@@ -363,13 +402,13 @@ run_batch_programs(std::span<const BatchLane> lanes, const ir::Function& f,
   // packed: their ops are dominated by the software decode/encode, not the
   // add itself (see docs/INTERP.md).
   std::vector<const numrep::FixedSpec*> swar_spec;
-  if (options.swar && L > 1 && !any_errors) {
-    swar_spec.assign(p0.code.size() * static_cast<std::size_t>(L), nullptr);
+  if (!kOne && options.swar && !any_errors) {
+    swar_spec.assign(p0.code.size() * L, nullptr);
     for (std::size_t pc = 0; pc < p0.code.size(); ++pc) {
       const BInst& b0 = p0.code[pc];
       if (b0.op != Opcode::Add && b0.op != Opcode::Sub) continue;
-      for (std::int32_t l = 0; l < L; ++l) {
-        const CompiledProgram& p = *progs[static_cast<std::size_t>(l)];
+      for (std::size_t l = 0; l < L; ++l) {
+        const CompiledProgram& p = *progs[l];
         const BInst& bl = p.code[pc];
         if (bl.kind != BInst::Kind::Arith2) continue;
         const numrep::QuantSpec& spec =
@@ -379,45 +418,45 @@ run_batch_programs(std::span<const BatchLane> lanes, const ir::Function& f,
         if (bl.a.conv || bl.b.conv || bl.a.cast_counter >= 0 ||
             bl.b.cast_counter >= 0)
           continue;
-        swar_spec[pc * static_cast<std::size_t>(L) +
-                  static_cast<std::size_t>(l)] = &spec.fixed;
+        swar_spec[pc * L + l] = &spec.fixed;
       }
     }
   }
 
-  // Retirement: fill the lane results exactly as run_program() would at
-  // the same point. Counters and ranges are only materialized on Ret.
+  // Retirement. Counters and ranges are only materialized on Ret; a trap
+  // reports its diagnostic and the steps taken up to and including the
+  // faulting instruction, like the reference interpreter.
+  const auto retire_lane_error = [&](std::int32_t l, const Group& g,
+                                     const std::string& message) {
+    RunResult& r = results[static_cast<std::size_t>(l)];
+    r.error = message;
+    r.steps = g.steps;
+  };
   const auto retire_error = [&](const Group& g, const std::string& message) {
-    for (const std::int32_t l : g.lanes) {
-      RunResult& r = results[static_cast<std::size_t>(l)];
-      r.error = message;
-      r.steps = g.steps;
-    }
+    for (const std::int32_t l : lanes_of(g)) retire_lane_error(l, g, message);
   };
   const auto retire_ok = [&](const Group& g) {
-    for (const std::int32_t l : g.lanes) {
+    for (const std::int32_t l : lanes_of(g)) {
       RunResult& r = results[static_cast<std::size_t>(l)];
       r.ok = true;
       r.steps = g.steps;
       if (opt.count_costs) {
-        const CompiledProgram& p = *progs[static_cast<std::size_t>(l)];
+        const CompiledProgram& p = prog(l);
         const std::vector<long>& c = counts[static_cast<std::size_t>(l)];
         for (std::size_t i = 0; i < c.size(); ++i)
           if (c[i] > 0) r.counters.ops[p.counter_keys[i]] = c[i];
         r.counters.non_real_ops = g.non_real;
       }
-      if (ErrorProfile* const ep = lanes[static_cast<std::size_t>(l)].errors) {
+      if (ErrorProfile* const ep = errors_of(l)) {
         std::vector<const std::vector<double>*> qp, sp;
         qp.reserve(p0.arrays.size());
         sp.reserve(p0.arrays.size());
         for (std::size_t ai = 0; ai < p0.arrays.size(); ++ai) {
-          const std::size_t slot =
-              ai * static_cast<std::size_t>(L) + static_cast<std::size_t>(l);
+          const std::size_t slot = at(static_cast<std::int32_t>(ai), l);
           qp.push_back(buffers[slot]);
           sp.push_back(&shadow_buffers[slot]);
         }
-        finalize_error_profile(*ep, *progs[static_cast<std::size_t>(l)], qp,
-                               sp);
+        finalize_error_profile(*ep, prog(l), qp, sp);
       }
       r.array_ranges = std::move(array_ranges[static_cast<std::size_t>(l)]);
       r.register_ranges =
@@ -425,15 +464,44 @@ run_batch_programs(std::span<const BatchLane> lanes, const ir::Function& f,
     }
   };
 
+  // Resolves a Load/Store's element index for the group: once when no
+  // index operand differs across lanes (into `flat`), else per lane (into
+  // lane_flat). An out-of-bounds index traps: a uniform one retires the
+  // whole group, a lane-varying one only the lanes that fault. Returns
+  // false when no lane is left running.
+  const auto resolve_index = [&](const BInst& bi, std::int32_t pc, Group& g,
+                                 std::size_t& flat) {
+    const auto trap = [&] {
+      return "array index out of bounds on " +
+             p0.arrays[static_cast<std::size_t>(bi.array)].name;
+    };
+    if (kOne || !index_varying[static_cast<std::size_t>(pc)]) {
+      flat = flat_index(bi, g, lead(g));
+      if (flat != kOutOfBounds) return true;
+      retire_error(g, trap());
+      return false;
+    }
+    std::size_t kept = 0;
+    for (const std::int32_t l : g.lanes) {
+      const std::size_t fl = flat_index(bi, g, l);
+      if (fl == kOutOfBounds) {
+        retire_lane_error(l, g, trap());
+        continue;
+      }
+      lane_flat[static_cast<std::size_t>(l)] = fl;
+      g.lanes[kept++] = l;
+    }
+    g.lanes.resize(kept);
+    return kept > 0;
+  };
+
   // Phi scratch: simultaneous read, then commit, per lane.
   std::size_t max_moves = 0;
   for (const EdgeMoves& e : p0.edges)
     max_moves = std::max(max_moves, static_cast<std::size_t>(e.count));
-  std::vector<double> scratch_real(max_moves * static_cast<std::size_t>(L));
-  std::vector<double> scratch_shadow(
-      any_errors ? max_moves * static_cast<std::size_t>(L) : 0);
-  std::vector<std::int64_t> scratch_int(max_moves *
-                                        static_cast<std::size_t>(L));
+  std::vector<double> scratch_real(max_moves * L);
+  std::vector<double> scratch_shadow(any_errors ? max_moves * L : 0);
+  std::vector<std::int64_t> scratch_int(kOne ? 0 : max_moves * L);
   std::vector<std::int64_t> scratch_uint(max_moves);
 
   // Applies one phi edge for the whole group. Returns false on an edge
@@ -446,66 +514,46 @@ run_batch_programs(std::span<const BatchLane> lanes, const ir::Function& f,
       return false;
     }
     if (any_profile)
-      for (const std::int32_t l : g.lanes)
-        if (VmProfile* const prof = lanes[static_cast<std::size_t>(l)].profile)
+      for (const std::int32_t l : lanes_of(g))
+        if (VmProfile* const prof = profile_of(l))
           ++prof->edge_applications[static_cast<std::size_t>(id)];
     for (std::int32_t i = 0; i < e.count; ++i) {
       const PhiMove& m0 = p0.moves[static_cast<std::size_t>(e.start + i)];
       if (m0.is_real) {
-        for (const std::int32_t l : g.lanes) {
-          const PhiMove& ml =
-              progs[static_cast<std::size_t>(l)]
-                  ->moves[static_cast<std::size_t>(e.start + i)];
-          scratch_real[static_cast<std::size_t>(i) *
-                           static_cast<std::size_t>(L) +
-                       static_cast<std::size_t>(l)] = fetch_real(ml.rsrc, l);
-          if (any_errors)
-            scratch_shadow[static_cast<std::size_t>(i) *
-                               static_cast<std::size_t>(L) +
-                           static_cast<std::size_t>(l)] =
-                fetch_shadow(ml.rsrc, l);
+        for (const std::int32_t l : lanes_of(g)) {
+          const RealArg& src =
+              prog(l).moves[static_cast<std::size_t>(e.start + i)].rsrc;
+          scratch_real[at(i, l)] = fetch_real(src, l);
+          if (any_errors) scratch_shadow[at(i, l)] = fetch_shadow(src, l);
         }
-      } else if (varying[static_cast<std::size_t>(m0.dst)]) {
-        for (const std::int32_t l : g.lanes)
-          scratch_int[static_cast<std::size_t>(i) *
-                          static_cast<std::size_t>(L) +
-                      static_cast<std::size_t>(l)] = geti(m0.isrc, g, l);
+      } else if (varies(m0.dst)) {
+        for (const std::int32_t l : lanes_of(g))
+          scratch_int[at(i, l)] = geti(m0.isrc, g, l);
       } else {
-        scratch_uint[static_cast<std::size_t>(i)] =
-            geti(m0.isrc, g, g.lanes.front());
+        scratch_uint[static_cast<std::size_t>(i)] = geti(m0.isrc, g, lead(g));
       }
     }
     for (std::int32_t i = 0; i < e.count; ++i) {
       const PhiMove& m0 = p0.moves[static_cast<std::size_t>(e.start + i)];
-      const auto dst = static_cast<std::size_t>(m0.dst);
       if (m0.is_real) {
-        for (const std::int32_t l : g.lanes) {
-          const double v = scratch_real[static_cast<std::size_t>(i) *
-                                            static_cast<std::size_t>(L) +
-                                        static_cast<std::size_t>(l)];
-          reals[dst * static_cast<std::size_t>(L) +
-                static_cast<std::size_t>(l)] = v;
+        for (const std::int32_t l : lanes_of(g)) {
+          const double v = scratch_real[at(i, l)];
+          reals[at(m0.dst, l)] = v;
           if (any_errors) {
-            const double s = scratch_shadow[static_cast<std::size_t>(i) *
-                                                static_cast<std::size_t>(L) +
-                                            static_cast<std::size_t>(l)];
+            const double s = scratch_shadow[at(i, l)];
             set_shadow(m0.dst, l, s);
-            if (ErrorProfile* const ep =
-                    lanes[static_cast<std::size_t>(l)].errors)
+            if (ErrorProfile* const ep = errors_of(l))
               record(l, ep->moves[static_cast<std::size_t>(e.start + i)], v,
                      s, -1, m0.dst, g.steps);
           }
           if (track_regs) observe_reg(l, m0.dst, v);
         }
-      } else if (varying[dst]) {
-        for (const std::int32_t l : g.lanes)
-          vints[dst * static_cast<std::size_t>(L) +
-                static_cast<std::size_t>(l)] =
-              scratch_int[static_cast<std::size_t>(i) *
-                              static_cast<std::size_t>(L) +
-                          static_cast<std::size_t>(l)];
+      } else if (varies(m0.dst)) {
+        for (const std::int32_t l : lanes_of(g))
+          vints[at(m0.dst, l)] = scratch_int[at(i, l)];
       } else {
-        g.uints[dst] = scratch_uint[static_cast<std::size_t>(i)];
+        g.uints[static_cast<std::size_t>(m0.dst)] =
+            scratch_uint[static_cast<std::size_t>(i)];
       }
     }
     g.steps += e.count;
@@ -516,7 +564,7 @@ run_batch_programs(std::span<const BatchLane> lanes, const ir::Function& f,
   // are biased by 2^w into fields of 2^ceil(log2(w+2)) bits, summed in one
   // 64-bit op (the bias keeps every field non-negative so no carry or
   // borrow crosses a boundary), then unpacked, saturated, and rescaled —
-  // bit-identical to the scalar kernel because in-format operands make
+  // bit-identical to the unpacked kernel because in-format operands make
   // both the double add and the llround inside quantize_fixed exact.
   const auto swar_run = [&](const BInst& b0, std::int32_t pc, const Group& g,
                             std::size_t first, std::size_t last,
@@ -537,18 +585,9 @@ run_batch_programs(std::span<const BatchLane> lanes, const ir::Function& f,
       std::uint64_t wa = 0, wb = 0, wbias = 0;
       for (std::size_t t = 0; t < cnt; ++t) {
         const std::int32_t l = g.lanes[k0 + t];
-        const BInst& bl = progs[static_cast<std::size_t>(l)]
-                              ->code[static_cast<std::size_t>(pc)];
-        const double av =
-            bl.a.reg >= 0 ? reals[static_cast<std::size_t>(bl.a.reg) *
-                                      static_cast<std::size_t>(L) +
-                                  static_cast<std::size_t>(l)]
-                          : bl.a.imm;
-        const double bv =
-            bl.b.reg >= 0 ? reals[static_cast<std::size_t>(bl.b.reg) *
-                                      static_cast<std::size_t>(L) +
-                                  static_cast<std::size_t>(l)]
-                          : bl.b.imm;
+        const BInst& bl = inst(l, pc);
+        const double av = bl.a.reg >= 0 ? reals[at(bl.a.reg, l)] : bl.a.imm;
+        const double bv = bl.b.reg >= 0 ? reals[at(bl.b.reg, l)] : bl.b.imm;
         const auto ma = static_cast<std::int64_t>(std::ldexp(av, spec.frac));
         const auto mb = static_cast<std::int64_t>(std::ldexp(bv, spec.frac));
         const int shift = static_cast<int>(t) * fb;
@@ -562,17 +601,14 @@ run_batch_programs(std::span<const BatchLane> lanes, const ir::Function& f,
       const std::int64_t unbias = is_sub ? beta : 2 * beta;
       for (std::size_t t = 0; t < cnt; ++t) {
         const std::int32_t l = g.lanes[k0 + t];
-        const BInst& bl = progs[static_cast<std::size_t>(l)]
-                              ->code[static_cast<std::size_t>(pc)];
+        const BInst& bl = inst(l, pc);
         std::int64_t m = static_cast<std::int64_t>(
                              (sum >> (static_cast<int>(t) * fb)) & mask) -
                          unbias;
         m = std::clamp(m, raw_min, raw_max);
         const double r = std::ldexp(static_cast<double>(m), -spec.frac);
-        reals[static_cast<std::size_t>(bl.dst) * static_cast<std::size_t>(L) +
-              static_cast<std::size_t>(l)] = r;
-        ++counts[static_cast<std::size_t>(l)]
-                [static_cast<std::size_t>(bl.op_counter)];
+        reals[at(bl.dst, l)] = r;
+        bump(l, bl.op_counter);
         if (track_regs) observe_reg(l, bl.dst, r);
       }
     }
@@ -582,9 +618,11 @@ run_batch_programs(std::span<const BatchLane> lanes, const ir::Function& f,
   std::vector<Group> work;
   {
     Group g0;
-    g0.lanes.resize(static_cast<std::size_t>(L));
-    for (std::int32_t l = 0; l < L; ++l)
-      g0.lanes[static_cast<std::size_t>(l)] = l;
+    if constexpr (!kOne) {
+      g0.lanes.resize(L);
+      for (std::size_t l = 0; l < L; ++l)
+        g0.lanes[l] = static_cast<std::int32_t>(l);
+    }
     g0.edge = p0.entry_edge;
     g0.block = 0;
     g0.uints.assign(nregs, 0);
@@ -607,23 +645,23 @@ run_batch_programs(std::span<const BatchLane> lanes, const ir::Function& f,
         retire_error(g, p0.messages[static_cast<std::size_t>(bi.trap_msg)]);
         break;
       }
-      if (++g.steps > opt.max_steps) {
+      if (++g.steps > max_steps) {
         retire_error(g, "step limit exceeded");
         break;
       }
       if (any_profile)
-        for (const std::int32_t l : g.lanes)
-          if (VmProfile* const prof =
-                  lanes[static_cast<std::size_t>(l)].profile)
+        for (const std::int32_t l : lanes_of(g))
+          if (VmProfile* const prof = profile_of(l))
             ++prof->instr_executions[static_cast<std::size_t>(pc)];
       switch (bi.kind) {
       case BInst::Kind::Arith2:
       case BInst::Kind::ExactFixed2: {
         // Kinds may differ per lane (exact fixed only fires on fixed
         // result types), so dispatch on the lane's own instruction.
-        const auto scalar_one = [&](std::int32_t l) {
-          const CompiledProgram& p = *progs[static_cast<std::size_t>(l)];
-          const BInst& bl = p.code[static_cast<std::size_t>(pc)];
+        const auto unpacked_one = [&](std::int32_t l)
+            __attribute__((always_inline)) {
+          const CompiledProgram& p = prog(l);
+          const BInst& bl = inst(l, pc);
           double r;
           if (bl.kind == BInst::Kind::ExactFixed2) {
             const double a = fetch_exact(bl.a, l);
@@ -635,98 +673,73 @@ run_batch_programs(std::span<const BatchLane> lanes, const ir::Function& f,
             const double b = fetch_real(bl.b, l);
             r = bl.kernel2(p.specs[static_cast<std::size_t>(bl.spec)], a, b);
           }
-          reals[static_cast<std::size_t>(bl.dst) *
-                    static_cast<std::size_t>(L) +
-                static_cast<std::size_t>(l)] = r;
+          reals[at(bl.dst, l)] = r;
           if (any_errors) {
             const double s = shadow_op2(bl.op, fetch_shadow(bl.a, l),
                                         fetch_shadow(bl.b, l));
             set_shadow(bl.dst, l, s);
-            if (ErrorProfile* const ep =
-                    lanes[static_cast<std::size_t>(l)].errors)
+            if (ErrorProfile* const ep = errors_of(l))
               record(l, ep->instr[static_cast<std::size_t>(pc)], r, s, pc,
                      bl.src, g.steps);
           }
-          ++counts[static_cast<std::size_t>(l)]
-                  [static_cast<std::size_t>(bl.op_counter)];
+          bump(l, bl.op_counter);
           if (track_regs) observe_reg(l, bl.dst, r);
         };
-        if (!swar_spec.empty() &&
+        if (!kOne && !swar_spec.empty() &&
             (bi.op == Opcode::Add || bi.op == Opcode::Sub)) {
           // Pack maximal runs of adjacent same-spec eligible lanes.
+          const auto eligible = [&](std::size_t k) {
+            return swar_spec[at(pc, g.lanes[k])];
+          };
           std::size_t i = 0;
           while (i < g.lanes.size()) {
-            const numrep::FixedSpec* s =
-                swar_spec[static_cast<std::size_t>(pc) *
-                              static_cast<std::size_t>(L) +
-                          static_cast<std::size_t>(g.lanes[i])];
-            if (!s) {
-              scalar_one(g.lanes[i]);
-              ++i;
-              continue;
-            }
+            const numrep::FixedSpec* s = eligible(i);
             std::size_t j = i + 1;
-            while (j < g.lanes.size()) {
-              const numrep::FixedSpec* s2 =
-                  swar_spec[static_cast<std::size_t>(pc) *
-                                static_cast<std::size_t>(L) +
-                            static_cast<std::size_t>(g.lanes[j])];
-              if (!s2 || !(*s2 == *s)) break;
-              ++j;
-            }
-            if (j - i >= 2) {
+            if (s)
+              while (j < g.lanes.size() && eligible(j) && *eligible(j) == *s)
+                ++j;
+            if (j - i >= 2)
               swar_run(bi, pc, g, i, j, *s);
-            } else {
-              scalar_one(g.lanes[i]);
-            }
+            else
+              unpacked_one(g.lanes[i]);
             i = j;
           }
         } else {
-          for (const std::int32_t l : g.lanes) scalar_one(l);
+          for (const std::int32_t l : lanes_of(g)) unpacked_one(l);
         }
         ++pc;
         break;
       }
       case BInst::Kind::Arith1: {
-        for (const std::int32_t l : g.lanes) {
-          const CompiledProgram& p = *progs[static_cast<std::size_t>(l)];
-          const BInst& bl = p.code[static_cast<std::size_t>(pc)];
+        for (const std::int32_t l : lanes_of(g)) {
+          const BInst& bl = inst(l, pc);
           const double a = fetch_real(bl.a, l);
           const double r =
-              bl.kernel1(p.specs[static_cast<std::size_t>(bl.spec)], a);
-          reals[static_cast<std::size_t>(bl.dst) *
-                    static_cast<std::size_t>(L) +
-                static_cast<std::size_t>(l)] = r;
+              bl.kernel1(prog(l).specs[static_cast<std::size_t>(bl.spec)], a);
+          reals[at(bl.dst, l)] = r;
           if (any_errors) {
             const double s = shadow_op1(bl.op, fetch_shadow(bl.a, l));
             set_shadow(bl.dst, l, s);
-            if (ErrorProfile* const ep =
-                    lanes[static_cast<std::size_t>(l)].errors)
+            if (ErrorProfile* const ep = errors_of(l))
               record(l, ep->instr[static_cast<std::size_t>(pc)], r, s, pc,
                      bl.src, g.steps);
           }
-          ++counts[static_cast<std::size_t>(l)]
-                  [static_cast<std::size_t>(bl.op_counter)];
+          bump(l, bl.op_counter);
           if (track_regs) observe_reg(l, bl.dst, r);
         }
         ++pc;
         break;
       }
       case BInst::Kind::CastReal: {
-        for (const std::int32_t l : g.lanes) {
-          const BInst& bl = progs[static_cast<std::size_t>(l)]
-                                ->code[static_cast<std::size_t>(pc)];
+        for (const std::int32_t l : lanes_of(g)) {
+          const BInst& bl = inst(l, pc);
           const double r = fetch_real(bl.a, l);
-          reals[static_cast<std::size_t>(bl.dst) *
-                    static_cast<std::size_t>(L) +
-                static_cast<std::size_t>(l)] = r;
+          reals[at(bl.dst, l)] = r;
           if (any_errors) {
-            // Casts are exact in the shadow world: the binary64 value
-            // passes through unconverted (same as the scalar VM).
+            // Representation change only: the shadow value passes through.
             const double s = fetch_shadow(bl.a, l);
             set_shadow(bl.dst, l, s);
-            if (ErrorProfile* const ep =
-                    lanes[static_cast<std::size_t>(l)].errors)
+            if (ErrorProfile* const ep = errors_of(l))
               record(l, ep->instr[static_cast<std::size_t>(pc)], r, s, pc,
                      bl.src, g.steps);
           }
@@ -736,26 +749,21 @@ run_batch_programs(std::span<const BatchLane> lanes, const ir::Function& f,
         break;
       }
       case BInst::Kind::IntToReal: {
-        for (const std::int32_t l : g.lanes) {
-          const CompiledProgram& p = *progs[static_cast<std::size_t>(l)];
-          const BInst& bl = p.code[static_cast<std::size_t>(pc)];
+        for (const std::int32_t l : lanes_of(g)) {
+          const BInst& bl = inst(l, pc);
           const std::int64_t iv = geti(bi.ia, g, l);
           const double r =
-              bl.a.conv(p.specs[static_cast<std::size_t>(bl.a.spec)],
+              bl.a.conv(prog(l).specs[static_cast<std::size_t>(bl.a.spec)],
                         static_cast<double>(iv));
-          reals[static_cast<std::size_t>(bl.dst) *
-                    static_cast<std::size_t>(L) +
-                static_cast<std::size_t>(l)] = r;
+          reals[at(bl.dst, l)] = r;
           if (any_errors) {
             const double s = static_cast<double>(iv);
             set_shadow(bl.dst, l, s);
-            if (ErrorProfile* const ep =
-                    lanes[static_cast<std::size_t>(l)].errors)
+            if (ErrorProfile* const ep = errors_of(l))
               record(l, ep->instr[static_cast<std::size_t>(pc)], r, s, pc,
                      bl.src, g.steps);
           }
-          ++counts[static_cast<std::size_t>(l)]
-                  [static_cast<std::size_t>(bl.op_counter)];
+          bump(l, bl.op_counter);
           if (track_regs) observe_reg(l, bl.dst, r);
         }
         ++pc;
@@ -763,30 +771,26 @@ run_batch_programs(std::span<const BatchLane> lanes, const ir::Function& f,
       }
       case BInst::Kind::Load: {
         std::size_t flat = 0;
-        const bool uniform_index = !index_varying[static_cast<std::size_t>(pc)];
-        if (uniform_index) flat = flat_index(bi, g, g.lanes.front());
-        for (const std::int32_t l : g.lanes) {
-          const CompiledProgram& p = *progs[static_cast<std::size_t>(l)];
-          const BInst& bl = p.code[static_cast<std::size_t>(pc)];
-          const std::size_t fi = uniform_index ? flat : flat_index(bi, g, l);
-          double v = (*buffers[static_cast<std::size_t>(bi.array) *
-                                   static_cast<std::size_t>(L) +
-                               static_cast<std::size_t>(l)])[fi];
-          if (bl.a.cast_counter >= 0)
-            ++counts[static_cast<std::size_t>(l)]
-                    [static_cast<std::size_t>(bl.a.cast_counter)];
+        if (!resolve_index(bi, pc, g, flat)) {
+          running = false;
+          break;
+        }
+        const bool uniform_index =
+            kOne || !index_varying[static_cast<std::size_t>(pc)];
+        for (const std::int32_t l : lanes_of(g)) {
+          const BInst& bl = inst(l, pc);
+          const std::size_t fi =
+              uniform_index ? flat : lane_flat[static_cast<std::size_t>(l)];
+          double v = (*buffers[at(bi.array, l)])[fi];
+          if (bl.a.cast_counter >= 0) bump(l, bl.a.cast_counter);
           if (bl.a.conv)
-            v = bl.a.conv(p.specs[static_cast<std::size_t>(bl.a.spec)], v);
-          reals[static_cast<std::size_t>(bl.dst) *
-                    static_cast<std::size_t>(L) +
-                static_cast<std::size_t>(l)] = v;
+            v = bl.a.conv(prog(l).specs[static_cast<std::size_t>(bl.a.spec)],
+                          v);
+          reals[at(bl.dst, l)] = v;
           if (any_errors) {
-            const double s = shadow_buffers[static_cast<std::size_t>(bi.array) *
-                                                static_cast<std::size_t>(L) +
-                                            static_cast<std::size_t>(l)][fi];
+            const double s = shadow_buffers[at(bi.array, l)][fi];
             set_shadow(bl.dst, l, s);
-            if (ErrorProfile* const ep =
-                    lanes[static_cast<std::size_t>(l)].errors)
+            if (ErrorProfile* const ep = errors_of(l))
               record(l, ep->instr[static_cast<std::size_t>(pc)], v, s, pc,
                      bl.src, g.steps);
           }
@@ -798,23 +802,22 @@ run_batch_programs(std::span<const BatchLane> lanes, const ir::Function& f,
       }
       case BInst::Kind::Store: {
         std::size_t flat = 0;
-        const bool uniform_index = !index_varying[static_cast<std::size_t>(pc)];
-        if (uniform_index) flat = flat_index(bi, g, g.lanes.front());
-        for (const std::int32_t l : g.lanes) {
-          const BInst& bl = progs[static_cast<std::size_t>(l)]
-                                ->code[static_cast<std::size_t>(pc)];
-          const std::size_t fi = uniform_index ? flat : flat_index(bi, g, l);
+        if (!resolve_index(bi, pc, g, flat)) {
+          running = false;
+          break;
+        }
+        const bool uniform_index =
+            kOne || !index_varying[static_cast<std::size_t>(pc)];
+        for (const std::int32_t l : lanes_of(g)) {
+          const BInst& bl = inst(l, pc);
+          const std::size_t fi =
+              uniform_index ? flat : lane_flat[static_cast<std::size_t>(l)];
           const double v = fetch_real(bl.a, l);
-          (*buffers[static_cast<std::size_t>(bi.array) *
-                        static_cast<std::size_t>(L) +
-                    static_cast<std::size_t>(l)])[fi] = v;
+          (*buffers[at(bi.array, l)])[fi] = v;
           if (any_errors) {
             const double s = fetch_shadow(bl.a, l);
-            shadow_buffers[static_cast<std::size_t>(bi.array) *
-                               static_cast<std::size_t>(L) +
-                           static_cast<std::size_t>(l)][fi] = s;
-            if (ErrorProfile* const ep =
-                    lanes[static_cast<std::size_t>(l)].errors)
+            shadow_buffers[at(bi.array, l)][fi] = s;
+            if (ErrorProfile* const ep = errors_of(l))
               record(l, ep->instr[static_cast<std::size_t>(pc)], v, s, pc,
                      bl.src, g.steps);
           }
@@ -839,32 +842,28 @@ run_batch_programs(std::span<const BatchLane> lanes, const ir::Function& f,
           default: LUIS_UNREACHABLE("not an int op");
           }
         };
-        const auto dst = static_cast<std::size_t>(bi.dst);
-        if (varying[dst]) {
-          for (const std::int32_t l : g.lanes)
-            vints[dst * static_cast<std::size_t>(L) +
-                  static_cast<std::size_t>(l)] =
-                eval(geti(bi.ia, g, l), geti(bi.ib, g, l));
+        if (varies(bi.dst)) {
+          for (const std::int32_t l : lanes_of(g))
+            vints[at(bi.dst, l)] = eval(geti(bi.ia, g, l), geti(bi.ib, g, l));
         } else {
           // Uniform dst implies uniform operands (taint analysis): the
           // shared control work runs once per group, not once per lane.
-          const std::int32_t l0 = g.lanes.front();
-          g.uints[dst] = eval(geti(bi.ia, g, l0), geti(bi.ib, g, l0));
+          const std::int32_t l0 = lead(g);
+          g.uints[static_cast<std::size_t>(bi.dst)] =
+              eval(geti(bi.ia, g, l0), geti(bi.ib, g, l0));
         }
         ++g.non_real;
         ++pc;
         break;
       }
       case BInst::Kind::IntCmp: {
-        const auto dst = static_cast<std::size_t>(bi.dst);
-        if (varying[dst]) {
-          for (const std::int32_t l : g.lanes)
-            vbools[dst * static_cast<std::size_t>(L) +
-                   static_cast<std::size_t>(l)] =
+        if (varies(bi.dst)) {
+          for (const std::int32_t l : lanes_of(g))
+            vbools[at(bi.dst, l)] =
                 compare(bi.pred, geti(bi.ia, g, l), geti(bi.ib, g, l)) ? 1 : 0;
         } else {
-          const std::int32_t l0 = g.lanes.front();
-          g.ubools[dst] =
+          const std::int32_t l0 = lead(g);
+          g.ubools[static_cast<std::size_t>(bi.dst)] =
               compare(bi.pred, geti(bi.ia, g, l0), geti(bi.ib, g, l0)) ? 1 : 0;
         }
         ++g.non_real;
@@ -872,17 +871,17 @@ run_batch_programs(std::span<const BatchLane> lanes, const ir::Function& f,
         break;
       }
       case BInst::Kind::RealCmp: {
-        const auto dst = static_cast<std::size_t>(bi.dst);
-        for (const std::int32_t l : g.lanes) {
-          const BInst& bl = progs[static_cast<std::size_t>(l)]
-                                ->code[static_cast<std::size_t>(pc)];
+        for (const std::int32_t l : lanes_of(g)) {
+          const BInst& bl = inst(l, pc);
           const bool c =
               compare(bl.pred, fetch_real(bl.a, l), fetch_real(bl.b, l));
-          vbools[dst * static_cast<std::size_t>(L) +
-                 static_cast<std::size_t>(l)] = c ? 1 : 0;
+          // A RealCmp result varies across lanes whenever there are lanes.
+          if constexpr (kOne)
+            g.ubools[static_cast<std::size_t>(bi.dst)] = c ? 1 : 0;
+          else
+            vbools[at(bi.dst, l)] = c ? 1 : 0;
           if (any_errors) {
-            if (ErrorProfile* const ep =
-                    lanes[static_cast<std::size_t>(l)].errors) {
+            if (ErrorProfile* const ep = errors_of(l)) {
               // Control stays lockstep on the quantized outcome; a
               // disagreement with the shadow values means an independent
               // binary64 run could take a different path from here on.
@@ -901,24 +900,19 @@ run_batch_programs(std::span<const BatchLane> lanes, const ir::Function& f,
         break;
       }
       case BInst::Kind::SelectReal: {
-        for (const std::int32_t l : g.lanes) {
-          const BInst& bl = progs[static_cast<std::size_t>(l)]
-                                ->code[static_cast<std::size_t>(pc)];
+        for (const std::int32_t l : lanes_of(g)) {
+          const BInst& bl = inst(l, pc);
           const bool c = getb(bi.cond, g, l);
           if (any_profile && c)
-            if (VmProfile* const prof =
-                    lanes[static_cast<std::size_t>(l)].profile)
+            if (VmProfile* const prof = profile_of(l))
               ++prof->select_real_first[static_cast<std::size_t>(pc)];
           const double v = fetch_real(c ? bl.a : bl.b, l);
-          reals[static_cast<std::size_t>(bl.dst) *
-                    static_cast<std::size_t>(L) +
-                static_cast<std::size_t>(l)] = v;
+          reals[at(bl.dst, l)] = v;
           if (any_errors) {
             // The shadow takes the side the quantized condition chose.
             const double s = fetch_shadow(c ? bl.a : bl.b, l);
             set_shadow(bl.dst, l, s);
-            if (ErrorProfile* const ep =
-                    lanes[static_cast<std::size_t>(l)].errors)
+            if (ErrorProfile* const ep = errors_of(l))
               record(l, ep->instr[static_cast<std::size_t>(pc)], v, s, pc,
                      bl.src, g.steps);
           }
@@ -929,17 +923,16 @@ run_batch_programs(std::span<const BatchLane> lanes, const ir::Function& f,
         break;
       }
       case BInst::Kind::SelectInt: {
-        const auto dst = static_cast<std::size_t>(bi.dst);
-        if (varying[dst]) {
-          for (const std::int32_t l : g.lanes) {
+        if (varies(bi.dst)) {
+          for (const std::int32_t l : lanes_of(g)) {
             const bool c = getb(bi.cond, g, l);
-            vints[dst * static_cast<std::size_t>(L) +
-                  static_cast<std::size_t>(l)] = geti(c ? bi.ia : bi.ib, g, l);
+            vints[at(bi.dst, l)] = geti(c ? bi.ia : bi.ib, g, l);
           }
         } else {
-          const std::int32_t l0 = g.lanes.front();
+          const std::int32_t l0 = lead(g);
           const bool c = getb(bi.cond, g, l0);
-          g.uints[dst] = geti(c ? bi.ia : bi.ib, g, l0);
+          g.uints[static_cast<std::size_t>(bi.dst)] =
+              geti(c ? bi.ia : bi.ib, g, l0);
         }
         ++g.non_real;
         ++pc;
@@ -956,16 +949,13 @@ run_batch_programs(std::span<const BatchLane> lanes, const ir::Function& f,
         break;
       case BInst::Kind::CondBr: {
         ++g.non_real;
-        bool uniform = !varying[static_cast<std::size_t>(bi.cond)];
-        bool c0 = getb(bi.cond, g, g.lanes.front());
-        if (!uniform) {
+        const bool c0 = getb(bi.cond, g, lead(g));
+        if (varies(bi.cond)) {
           // A varying condition may still agree across this group's lanes.
           std::vector<std::int32_t> taken, other;
           for (const std::int32_t l : g.lanes)
             (getb(bi.cond, g, l) == c0 ? taken : other).push_back(l);
-          if (other.empty()) {
-            uniform = true;
-          } else {
+          if (!other.empty()) {
             // Divergence: the not-taken half resumes later with a private
             // copy of the uniform registers and the same step count.
             Group rest;
@@ -999,6 +989,16 @@ run_batch_programs(std::span<const BatchLane> lanes, const ir::Function& f,
     }
   }
   return results;
+}
+
+} // namespace
+
+std::vector<RunResult>
+run_batch_programs(std::span<const BatchLane> lanes, const ir::Function& f,
+                   const BatchRunOptions& options) {
+  LUIS_ASSERT(!lanes.empty(), "run_batch_programs needs at least one lane");
+  return lanes.size() == 1 ? run_lanes<true>(lanes, f, options)
+                           : run_lanes<false>(lanes, f, options);
 }
 
 } // namespace luis::interp

@@ -1,4 +1,4 @@
-// Batched multi-lane execution of compiled programs.
+// The VM executor: runs compiled programs, one lane or many.
 //
 // run_batch_programs() runs N programs compiled from the SAME Function by
 // one compile_programs() call — identical control skeletons, different
@@ -7,18 +7,23 @@
 // arithmetic, addressing, comparisons on integers, branches, phi moves of
 // int registers) is type-independent, so it executes once per *lane
 // group* instead of once per lane; only the real-valued work fans out.
+// One source serves both uses: a batch of one (VmEngine::run) runs a
+// one-lane instantiation whose stride is the constant 1 and whose
+// registers are all uniform, so it carries none of the group bookkeeping.
 //
 // Lane groups and retirement. All lanes start in one lockstep group. A
 // CondBr whose condition differs across lanes (conditions derive from
 // FCmp, which sees per-lane quantized values) splits the group; the two
 // halves proceed independently, each with a private copy of the uniform
 // (type-independent) registers. A group retires all of its lanes at once
-// on Ret, on a trap (phi with no incoming edge, fall-through, step
-// limit), carrying the exact scalar-VM diagnostics and step counts —
-// which is how one lane can trap and retire while the survivors keep
-// running. Within a group every lane observes identical control
+// on Ret or on a trap (phi with no incoming edge, fall-through, step
+// limit, an out-of-bounds array index common to the group), carrying the
+// reference interpreter's diagnostics and step counts — which is how one
+// lane can trap and retire while the survivors keep running. An
+// out-of-bounds index that differs across lanes retires only the lanes
+// that fault. Within a group every lane observes identical control
 // decisions, so per-lane steps, counters, ranges, and trap messages are
-// bit-identical to running each lane alone through run_program().
+// bit-identical to running each lane alone as a batch of one.
 //
 // SWAR packing. Eligible fixed-point additive ops (Add/Sub where every
 // lane in a run shares one FixedSpec of width w with w + 2 <= 16 and
@@ -39,10 +44,11 @@
 
 namespace luis::interp {
 
-/// One execution lane: a program from a compile_programs() batch plus the
-/// lane's private array store (seeded with inputs, receives outputs) and
-/// optional per-lane instrumentation (same layouts as
-/// RunOptions::vm_profile / ::error_profile).
+/// One execution lane: a program from a compile_programs() batch (or
+/// compile_program() for a batch of one) plus the lane's private array
+/// store (seeded with inputs, receives outputs) and optional per-lane
+/// instrumentation (same layouts as RunOptions::vm_profile /
+/// ::error_profile).
 struct BatchLane {
   const CompiledProgram* program = nullptr;
   ArrayStore* store = nullptr;
@@ -51,7 +57,7 @@ struct BatchLane {
 };
 
 struct BatchRunOptions {
-  /// Scalar run options applied to every lane (max_steps, count_costs,
+  /// Run options applied to every lane (max_steps, count_costs,
   /// range tracking, ...). RunOptions::vm_profile and ::error_profile are
   /// ignored — use BatchLane::profile / ::errors for per-lane attribution.
   RunOptions run;
@@ -65,9 +71,9 @@ struct BatchRunOptions {
 
 /// Executes all lanes and returns one RunResult per lane, bit-identical
 /// (outputs, steps, counters, ranges, trap diagnostics) to running each
-/// lane's program alone through run_program(). `f` must have the printed
-/// IR the programs were compiled from; as in run_program() it is only
-/// consulted to attribute register ranges.
+/// lane's program alone, and to run_function(). `f` must have the printed
+/// IR the programs were compiled from (asserted by shape); it is only
+/// consulted to attribute register ranges back to Instruction pointers.
 std::vector<RunResult>
 run_batch_programs(std::span<const BatchLane> lanes, const ir::Function& f,
                    const BatchRunOptions& options = {});

@@ -8,7 +8,6 @@
 
 #include "ir/printer.hpp"
 #include "numrep/quantize.hpp"
-#include "obs/trace.hpp"
 #include "support/diag.hpp"
 #include "support/statistics.hpp"
 #include "support/string_utils.hpp"
@@ -496,26 +495,6 @@ private:
       edge_ids_;
 };
 
-/// Register file of the VM (same layout as the reference interpreter's
-/// slots).
-struct Reg {
-  double real = 0.0;
-  std::int64_t integer = 0;
-  bool boolean = false;
-};
-
-template <typename T> bool compare(ir::CmpPred pred, T a, T b) {
-  switch (pred) {
-  case ir::CmpPred::EQ: return a == b;
-  case ir::CmpPred::NE: return a != b;
-  case ir::CmpPred::LT: return a < b;
-  case ir::CmpPred::LE: return a <= b;
-  case ir::CmpPred::GT: return a > b;
-  case ir::CmpPred::GE: return a >= b;
-  }
-  LUIS_UNREACHABLE("unknown predicate");
-}
-
 } // namespace
 
 CompiledProgram compile_program(const ir::Function& f,
@@ -576,441 +555,6 @@ void finalize_error_profile(
   }
   ep.program_mpe = mean_percentage_error(all_s, all_q);
   ep.finalized = true;
-}
-
-RunResult run_program(const CompiledProgram& p, const ir::Function& f,
-                      ArrayStore& store, const RunOptions& opt) {
-  RunResult result;
-  LUIS_ASSERT(f.instruction_count() == p.source_instruction_count,
-              "compiled program does not match the function shape");
-  LUIS_ASSERT(f.arrays().size() == p.arrays.size(),
-              "compiled program does not match the function arrays");
-
-  const bool track_regs = opt.track_register_ranges;
-  const bool track_arrays = opt.track_array_ranges;
-
-  std::map<std::string, std::pair<double, double>> array_ranges;
-  const auto observe_array = [&](const std::string& name, double v) {
-    if (std::isnan(v)) return;
-    auto [it, fresh] = array_ranges.try_emplace(name, v, v);
-    if (!fresh) {
-      it->second.first = std::min(it->second.first, v);
-      it->second.second = std::max(it->second.second, v);
-    }
-  };
-
-  // Shadow execution (RunOptions::error_profile): a lockstep binary64
-  // value per real register and array slot, following the quantized run's
-  // control flow. Everything below is gated on `ep` so shadow-off runs
-  // stay bit-identical (and nearly free).
-  ErrorProfile* const ep = opt.error_profile;
-  std::vector<double> shadow;
-  std::vector<std::vector<double>> shadow_bufs;
-  if (ep) {
-    ep->instr.assign(p.code.size(), ErrorCell{});
-    ep->moves.assign(p.moves.size(), ErrorCell{});
-    ep->first_spike_step = -1;
-    ep->first_spike_pc = -1;
-    ep->first_spike_src = -1;
-    ep->first_spike_rel = 0.0;
-    ep->control_divergences = 0;
-    ep->first_control_divergence_step = -1;
-    ep->arrays.clear();
-    ep->program_mpe = 0.0;
-    ep->finalized = false;
-    ep->shadow_arrays.clear();
-    shadow.assign(static_cast<std::size_t>(p.num_regs), 0.0);
-    shadow_bufs.reserve(p.arrays.size());
-  }
-
-  // Bind array buffers by name and quantize their initial contents. The
-  // shadow buffers capture the raw (pre-quantization) contents — the
-  // shadow world never quantizes, including at initialization.
-  std::vector<std::vector<double>*> buffers;
-  buffers.reserve(p.arrays.size());
-  for (const ArrayBinding& ab : p.arrays) {
-    auto& buf = store[ab.name];
-    buf.resize(static_cast<std::size_t>(ab.element_count), 0.0);
-    if (ep) shadow_bufs.push_back(buf);
-    const numrep::QuantSpec& spec = p.specs[static_cast<std::size_t>(ab.spec)];
-    for (double& v : buf) {
-      v = ab.init_conv(spec, v);
-      if (track_arrays) observe_array(ab.name, v);
-    }
-    buffers.push_back(&buf);
-  }
-
-  if (p.blocks.empty()) {
-    result.error = "no entry block";
-    return result;
-  }
-
-  // Register ordinal -> Instruction*, only needed to attribute observed
-  // register ranges back to the source IR.
-  std::vector<const Instruction*> inst_of;
-  std::map<const Instruction*, std::pair<double, double>> register_ranges;
-  if (track_regs) {
-    inst_of.reserve(static_cast<std::size_t>(p.num_regs));
-    for (const auto& bb : f.blocks())
-      for (const auto& inst : bb->instructions()) inst_of.push_back(inst.get());
-  }
-  const auto observe_reg = [&](std::int32_t r, double v) {
-    if (std::isnan(v)) return;
-    auto [it, fresh] =
-        register_ranges.try_emplace(inst_of[static_cast<std::size_t>(r)], v, v);
-    if (!fresh) {
-      it->second.first = std::min(it->second.first, v);
-      it->second.second = std::max(it->second.second, v);
-    }
-  };
-
-  std::vector<Reg> regs(static_cast<std::size_t>(p.num_regs));
-  std::vector<long> counts(p.counter_keys.size(), 0);
-  long non_real = 0;
-
-  // Per-pc execution profile (hot-spot attribution, see obs/profile.hpp).
-  VmProfile* const prof = opt.vm_profile;
-  if (prof) {
-    prof->instr_executions.assign(p.code.size(), 0);
-    prof->edge_applications.assign(p.edges.size(), 0);
-    prof->select_real_first.assign(p.code.size(), 0);
-  }
-
-  const auto fetch_real = [&](const RealArg& a) {
-    double v = a.reg >= 0 ? regs[static_cast<std::size_t>(a.reg)].real : a.imm;
-    if (a.cast_counter >= 0) ++counts[static_cast<std::size_t>(a.cast_counter)];
-    if (a.conv) v = a.conv(p.specs[static_cast<std::size_t>(a.spec)], v);
-    return v;
-  };
-  const auto fetch_exact = [&](const RealArg& a) {
-    if (a.cast_counter >= 0) ++counts[static_cast<std::size_t>(a.cast_counter)];
-    return a.reg >= 0 ? regs[static_cast<std::size_t>(a.reg)].real : a.imm;
-  };
-  const auto fetch_int = [&](const IntArg& a) {
-    return a.reg >= 0 ? regs[static_cast<std::size_t>(a.reg)].integer : a.imm;
-  };
-  // Shadow operand fetch: raw register or raw constant, never converted.
-  const auto fetch_shadow = [&](const RealArg& a) {
-    return a.reg >= 0 ? shadow[static_cast<std::size_t>(a.reg)] : a.shadow_imm;
-  };
-  // Records the deviation of one quantized real write against its shadow
-  // value. `pc` is -1 for phi moves (they have no program counter; their
-  // spikes carry the move's destination register instead).
-  const auto record = [&](ErrorCell& cell, double q, double s,
-                          std::int32_t at_pc, std::int32_t at_src) {
-    double abs_err = std::fabs(q - s);
-    if (std::isnan(abs_err)) abs_err = std::numeric_limits<double>::infinity();
-    double rel_err;
-    if (std::fabs(s) > 0.0)
-      rel_err = abs_err / std::fabs(s);
-    else
-      rel_err = abs_err > 0.0 ? std::numeric_limits<double>::infinity() : 0.0;
-    const bool spike = rel_err > ep->spike_rel_threshold &&
-                       cell.max_rel <= ep->spike_rel_threshold;
-    cell.observe(abs_err, rel_err);
-    if (spike) {
-      if (ep->first_spike_step < 0) {
-        ep->first_spike_step = result.steps;
-        ep->first_spike_pc = at_pc;
-        ep->first_spike_src = at_src;
-        ep->first_spike_rel = rel_err;
-      }
-      obs::instant("vm.error_spike", "vm", obs::Args()
-                                               .str("function", p.function_name)
-                                               .num("pc", at_pc)
-                                               .num("src", at_src)
-                                               .num("rel", rel_err)
-                                               .num("step", result.steps)
-                                               .done());
-    }
-  };
-  const auto flat_index = [&](const BInst& bi) {
-    const ArrayBinding& ab = p.arrays[static_cast<std::size_t>(bi.array)];
-    std::size_t flat = 0;
-    for (std::int32_t d = 0; d < bi.index_count; ++d) {
-      const std::int64_t idx =
-          fetch_int(p.index_args[static_cast<std::size_t>(bi.index_start + d)]);
-      LUIS_ASSERT(idx >= 0 && idx < ab.dims[static_cast<std::size_t>(d)],
-                  "array index out of bounds on " + ab.name);
-      flat = flat * static_cast<std::size_t>(ab.dims[static_cast<std::size_t>(d)]) +
-             static_cast<std::size_t>(idx);
-    }
-    return flat;
-  };
-
-  // Phi batches commit through a scratch buffer so every move reads the
-  // pre-edge register values (simultaneous-read semantics).
-  std::size_t max_moves = 0;
-  for (const EdgeMoves& e : p.edges)
-    max_moves = std::max(max_moves, static_cast<std::size_t>(e.count));
-  std::vector<Reg> scratch(max_moves);
-  std::vector<double> shadow_scratch(ep ? max_moves : 0);
-
-  // Returns false when the edge traps (sets result.error).
-  const auto apply_edge = [&](std::int32_t id) {
-    const EdgeMoves& e = p.edges[static_cast<std::size_t>(id)];
-    if (e.trap_msg >= 0) {
-      result.error = p.messages[static_cast<std::size_t>(e.trap_msg)];
-      return false;
-    }
-    if (prof) ++prof->edge_applications[static_cast<std::size_t>(id)];
-    for (std::int32_t i = 0; i < e.count; ++i) {
-      const PhiMove& m = p.moves[static_cast<std::size_t>(e.start + i)];
-      if (m.is_real) {
-        scratch[static_cast<std::size_t>(i)].real = fetch_real(m.rsrc);
-        if (ep)
-          shadow_scratch[static_cast<std::size_t>(i)] = fetch_shadow(m.rsrc);
-      } else {
-        scratch[static_cast<std::size_t>(i)].integer = fetch_int(m.isrc);
-      }
-    }
-    for (std::int32_t i = 0; i < e.count; ++i) {
-      const PhiMove& m = p.moves[static_cast<std::size_t>(e.start + i)];
-      if (m.is_real) {
-        regs[static_cast<std::size_t>(m.dst)].real =
-            scratch[static_cast<std::size_t>(i)].real;
-        if (ep) {
-          shadow[static_cast<std::size_t>(m.dst)] =
-              shadow_scratch[static_cast<std::size_t>(i)];
-          record(ep->moves[static_cast<std::size_t>(e.start + i)],
-                 scratch[static_cast<std::size_t>(i)].real,
-                 shadow_scratch[static_cast<std::size_t>(i)], -1, m.dst);
-        }
-        if (track_regs)
-          observe_reg(m.dst, scratch[static_cast<std::size_t>(i)].real);
-      } else {
-        regs[static_cast<std::size_t>(m.dst)].integer =
-            scratch[static_cast<std::size_t>(i)].integer;
-      }
-    }
-    result.steps += e.count;
-    return true;
-  };
-
-  if (!apply_edge(p.entry_edge)) return result;
-  std::int32_t pc = p.blocks[0].entry;
-
-  for (;;) {
-    const BInst& bi = p.code[static_cast<std::size_t>(pc)];
-    if (bi.kind == BInst::Kind::Trap) {
-      result.error = p.messages[static_cast<std::size_t>(bi.trap_msg)];
-      return result;
-    }
-    if (++result.steps > opt.max_steps) {
-      result.error = "step limit exceeded";
-      return result;
-    }
-    if (prof) ++prof->instr_executions[static_cast<std::size_t>(pc)];
-    switch (bi.kind) {
-    case BInst::Kind::Arith2: {
-      const double a = fetch_real(bi.a);
-      const double b = fetch_real(bi.b);
-      const double r = bi.kernel2(p.specs[static_cast<std::size_t>(bi.spec)], a, b);
-      regs[static_cast<std::size_t>(bi.dst)].real = r;
-      ++counts[static_cast<std::size_t>(bi.op_counter)];
-      if (ep) {
-        const double s =
-            shadow_op2(bi.op, fetch_shadow(bi.a), fetch_shadow(bi.b));
-        shadow[static_cast<std::size_t>(bi.dst)] = s;
-        record(ep->instr[static_cast<std::size_t>(pc)], r, s, pc, bi.src);
-      }
-      if (track_regs) observe_reg(bi.dst, r);
-      ++pc;
-      break;
-    }
-    case BInst::Kind::ExactFixed2: {
-      const double a = fetch_exact(bi.a);
-      const double b = fetch_exact(bi.b);
-      const double r =
-          bi.exact(p.exact_binds[static_cast<std::size_t>(bi.exact_bind)], a, b);
-      regs[static_cast<std::size_t>(bi.dst)].real = r;
-      ++counts[static_cast<std::size_t>(bi.op_counter)];
-      if (ep) {
-        const double s =
-            shadow_op2(bi.op, fetch_shadow(bi.a), fetch_shadow(bi.b));
-        shadow[static_cast<std::size_t>(bi.dst)] = s;
-        record(ep->instr[static_cast<std::size_t>(pc)], r, s, pc, bi.src);
-      }
-      if (track_regs) observe_reg(bi.dst, r);
-      ++pc;
-      break;
-    }
-    case BInst::Kind::Arith1: {
-      const double a = fetch_real(bi.a);
-      const double r = bi.kernel1(p.specs[static_cast<std::size_t>(bi.spec)], a);
-      regs[static_cast<std::size_t>(bi.dst)].real = r;
-      ++counts[static_cast<std::size_t>(bi.op_counter)];
-      if (ep) {
-        const double s = shadow_op1(bi.op, fetch_shadow(bi.a));
-        shadow[static_cast<std::size_t>(bi.dst)] = s;
-        record(ep->instr[static_cast<std::size_t>(pc)], r, s, pc, bi.src);
-      }
-      if (track_regs) observe_reg(bi.dst, r);
-      ++pc;
-      break;
-    }
-    case BInst::Kind::CastReal: {
-      const double r = fetch_real(bi.a);
-      regs[static_cast<std::size_t>(bi.dst)].real = r;
-      if (ep) {
-        // Representation change only: the shadow value passes through.
-        const double s = fetch_shadow(bi.a);
-        shadow[static_cast<std::size_t>(bi.dst)] = s;
-        record(ep->instr[static_cast<std::size_t>(pc)], r, s, pc, bi.src);
-      }
-      if (track_regs) observe_reg(bi.dst, r);
-      ++pc;
-      break;
-    }
-    case BInst::Kind::IntToReal: {
-      const std::int64_t iv = fetch_int(bi.ia);
-      const double r = bi.a.conv(p.specs[static_cast<std::size_t>(bi.a.spec)],
-                                 static_cast<double>(iv));
-      regs[static_cast<std::size_t>(bi.dst)].real = r;
-      ++counts[static_cast<std::size_t>(bi.op_counter)];
-      if (ep) {
-        const double s = static_cast<double>(iv);
-        shadow[static_cast<std::size_t>(bi.dst)] = s;
-        record(ep->instr[static_cast<std::size_t>(pc)], r, s, pc, bi.src);
-      }
-      if (track_regs) observe_reg(bi.dst, r);
-      ++pc;
-      break;
-    }
-    case BInst::Kind::Load: {
-      const std::size_t ix = flat_index(bi);
-      double v = (*buffers[static_cast<std::size_t>(bi.array)])[ix];
-      if (bi.a.cast_counter >= 0)
-        ++counts[static_cast<std::size_t>(bi.a.cast_counter)];
-      if (bi.a.conv) v = bi.a.conv(p.specs[static_cast<std::size_t>(bi.a.spec)], v);
-      regs[static_cast<std::size_t>(bi.dst)].real = v;
-      ++non_real;
-      if (ep) {
-        const double s = shadow_bufs[static_cast<std::size_t>(bi.array)][ix];
-        shadow[static_cast<std::size_t>(bi.dst)] = s;
-        record(ep->instr[static_cast<std::size_t>(pc)], v, s, pc, bi.src);
-      }
-      if (track_regs) observe_reg(bi.dst, v);
-      ++pc;
-      break;
-    }
-    case BInst::Kind::Store: {
-      const std::size_t ix = flat_index(bi);
-      const double v = fetch_real(bi.a);
-      (*buffers[static_cast<std::size_t>(bi.array)])[ix] = v;
-      if (ep) {
-        const double s = fetch_shadow(bi.a);
-        shadow_bufs[static_cast<std::size_t>(bi.array)][ix] = s;
-        record(ep->instr[static_cast<std::size_t>(pc)], v, s, pc, bi.src);
-      }
-      if (track_arrays)
-        observe_array(p.arrays[static_cast<std::size_t>(bi.array)].name, v);
-      ++non_real;
-      ++pc;
-      break;
-    }
-    case BInst::Kind::IntArith: {
-      const std::int64_t a = fetch_int(bi.ia);
-      const std::int64_t b = fetch_int(bi.ib);
-      std::int64_t r = 0;
-      switch (bi.op) {
-      case Opcode::IAdd: r = a + b; break;
-      case Opcode::ISub: r = a - b; break;
-      case Opcode::IMul: r = a * b; break;
-      case Opcode::IDiv: r = b == 0 ? 0 : a / b; break;
-      case Opcode::IRem: r = b == 0 ? 0 : a % b; break;
-      case Opcode::IMin: r = std::min(a, b); break;
-      case Opcode::IMax: r = std::max(a, b); break;
-      default: LUIS_UNREACHABLE("not an int op");
-      }
-      regs[static_cast<std::size_t>(bi.dst)].integer = r;
-      ++non_real;
-      ++pc;
-      break;
-    }
-    case BInst::Kind::IntCmp:
-      regs[static_cast<std::size_t>(bi.dst)].boolean =
-          compare(bi.pred, fetch_int(bi.ia), fetch_int(bi.ib));
-      ++non_real;
-      ++pc;
-      break;
-    case BInst::Kind::RealCmp: {
-      const bool c = compare(bi.pred, fetch_real(bi.a), fetch_real(bi.b));
-      regs[static_cast<std::size_t>(bi.dst)].boolean = c;
-      if (ep) {
-        // Control stays lockstep on the quantized outcome; a disagreement
-        // with the shadow values means an independent binary64 run could
-        // take a different path from here on.
-        const bool sc =
-            compare(bi.pred, fetch_shadow(bi.a), fetch_shadow(bi.b));
-        if (sc != c) {
-          if (ep->control_divergences == 0)
-            ep->first_control_divergence_step = result.steps;
-          ++ep->control_divergences;
-        }
-      }
-      ++non_real;
-      ++pc;
-      break;
-    }
-    case BInst::Kind::SelectReal: {
-      const bool c = regs[static_cast<std::size_t>(bi.cond)].boolean;
-      if (prof && c) ++prof->select_real_first[static_cast<std::size_t>(pc)];
-      const double v = fetch_real(c ? bi.a : bi.b);
-      regs[static_cast<std::size_t>(bi.dst)].real = v;
-      ++non_real;
-      if (ep) {
-        // The shadow takes the side the quantized condition chose.
-        const double s = fetch_shadow(c ? bi.a : bi.b);
-        shadow[static_cast<std::size_t>(bi.dst)] = s;
-        record(ep->instr[static_cast<std::size_t>(pc)], v, s, pc, bi.src);
-      }
-      if (track_regs) observe_reg(bi.dst, v);
-      ++pc;
-      break;
-    }
-    case BInst::Kind::SelectInt: {
-      const bool c = regs[static_cast<std::size_t>(bi.cond)].boolean;
-      regs[static_cast<std::size_t>(bi.dst)].integer =
-          fetch_int(c ? bi.ia : bi.ib);
-      ++non_real;
-      ++pc;
-      break;
-    }
-    case BInst::Kind::Br:
-      ++non_real;
-      if (!apply_edge(bi.edge0)) return result;
-      pc = p.blocks[static_cast<std::size_t>(bi.target0)].entry;
-      break;
-    case BInst::Kind::CondBr: {
-      ++non_real;
-      const bool c = regs[static_cast<std::size_t>(bi.cond)].boolean;
-      if (!apply_edge(c ? bi.edge0 : bi.edge1)) return result;
-      pc = p.blocks[static_cast<std::size_t>(c ? bi.target0 : bi.target1)].entry;
-      break;
-    }
-    case BInst::Kind::Ret:
-      result.ok = true;
-      if (opt.count_costs) {
-        for (std::size_t i = 0; i < counts.size(); ++i)
-          if (counts[i] > 0) result.counters.ops[p.counter_keys[i]] = counts[i];
-        result.counters.non_real_ops = non_real;
-      }
-      if (ep) {
-        std::vector<const std::vector<double>*> qp(buffers.begin(),
-                                                   buffers.end());
-        std::vector<const std::vector<double>*> sp;
-        sp.reserve(shadow_bufs.size());
-        for (const auto& b : shadow_bufs) sp.push_back(&b);
-        finalize_error_profile(*ep, p, qp, sp);
-      }
-      result.array_ranges = std::move(array_ranges);
-      result.register_ranges = std::move(register_ranges);
-      return result;
-    case BInst::Kind::Trap:
-      LUIS_UNREACHABLE("handled before the step check");
-    }
-  }
 }
 
 std::string disassemble(const CompiledProgram& p) {

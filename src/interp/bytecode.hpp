@@ -15,10 +15,11 @@
 // what lets the sweep's program cache serve jobs that re-parse the same
 // kernel text into private modules.
 //
-// Semantics are bit-identical to run_function(): same quantization entry
-// points, same cast/operation cost accounting, same step counting
-// (including the phi batches), same trap diagnostics. The differential
-// oracle in src/testing enforces this.
+// Programs execute through run_batch_programs() (interp/batch.hpp), one
+// lane or many. Semantics are bit-identical to run_function(): same
+// quantization entry points, same cast/operation cost accounting, same
+// step counting (including the phi batches), same trap diagnostics. The
+// differential oracle in src/testing enforces this.
 #pragma once
 
 #include <cstdint>
@@ -172,18 +173,11 @@ compile_programs(const ir::Function& f,
                  std::span<const TypeAssignment* const> lanes,
                  const CompileOptions& options = {});
 
-/// Executes a compiled program. `f` must have the same printed IR as the
-/// compile-time function (asserted by shape); it is consulted only to
-/// attribute register ranges back to Instruction pointers when
-/// RunOptions::track_register_ranges is set.
-RunResult run_program(const CompiledProgram& program, const ir::Function& f,
-                      ArrayStore& store, const RunOptions& options = {});
-
 /// Fills an ErrorProfile's per-array stats, whole-program MPE, and shadow
 /// array snapshots from the final buffer contents of a successful run.
 /// `quantized` and `shadow` hold one buffer per ArrayBinding, in binding
-/// order. Shared by the scalar and batched executors; exposed so the fuzz
-/// oracle can recompute the same reduction independently.
+/// order. Called by the executor (interp/batch.hpp) on Ret; exposed so the
+/// fuzz oracle can recompute the same reduction independently.
 void finalize_error_profile(ErrorProfile& ep, const CompiledProgram& program,
                             std::span<const std::vector<double>* const> quantized,
                             std::span<const std::vector<double>* const> shadow);

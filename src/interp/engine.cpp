@@ -137,7 +137,11 @@ RunResult VmEngine::run(const ir::Function& f, const TypeAssignment& types,
           .boolean("cache_hit", cache_hit)
           .done();
     });
-    result = run_program(*program, f, store, options);
+    const BatchLane lane{program.get(), &store, options.vm_profile,
+                         options.error_profile};
+    BatchRunOptions bopt;
+    bopt.run = options;
+    result = std::move(run_batch_programs({&lane, 1}, f, bopt).front());
   }
   result.execute_seconds = seconds_since(t1);
   result.compile_seconds = compile_seconds;

@@ -2,10 +2,12 @@
 //
 // ReferenceEngine is the tree-walking interpreter (run_function) — the
 // semantic ground truth. VmEngine lowers the (Function, TypeAssignment)
-// pair to bytecode once (interp/bytecode.hpp) and runs the flat program;
-// it produces bit-identical results and cost counters, just faster, and
-// can share compiled programs across runs through a ProgramCache. The
-// differential oracle in src/testing holds the two engines equal.
+// pair to bytecode once (interp/bytecode.hpp) and runs the flat program
+// through the executor (interp/batch.hpp): run() as a batch of one lane,
+// run_batch() as one batch of many. It produces bit-identical results
+// and cost counters, just faster, and can share compiled programs across
+// runs through a ProgramCache. The differential oracle in src/testing
+// holds the two engines equal.
 #pragma once
 
 #include <memory>
@@ -87,11 +89,11 @@ public:
   /// Runs `f` once per lane and returns one RunResult per lane,
   /// bit-identical (outputs, steps, counters, ranges, trap diagnostics)
   /// to calling run() per lane. The base implementation is exactly that
-  /// scalar loop; VmEngine overrides it with the multi-lane executor
-  /// (interp/batch.hpp), which compiles the function once for all
-  /// cache-missing lanes and interprets the shared control skeleton once
-  /// per lane group. Per-lane compile/execute seconds are the batch
-  /// totals split evenly.
+  /// loop (the reference engine's batch); VmEngine overrides it with one
+  /// multi-lane executor call (interp/batch.hpp), which compiles the
+  /// function once for all cache-missing lanes and interprets the shared
+  /// control skeleton once per lane group. Per-lane compile/execute
+  /// seconds are the batch totals split evenly.
   virtual std::vector<RunResult>
   run_batch(const ir::Function& f, std::span<const BatchRequest> lanes,
             const BatchRunOptions& options = {}) const;

@@ -185,6 +185,10 @@ public:
           break;
         }
         execute(inst);
+        if (!trap_.empty()) {
+          result.error = std::move(trap_);
+          return result;
+        }
         if (opt_.track_register_ranges && inst->type() == ScalarType::Real)
           observe_register(inst, slots_[slot_index_.at(inst)].real);
       }
@@ -374,8 +378,9 @@ private:
     }
     case Opcode::Load: {
       const auto* arr = static_cast<const ir::Array*>(inst->operand(0));
-      out.real = convert((*buffers_.at(arr))[flat_index(inst, arr, 1)],
-                         types_.of(arr), ty);
+      std::size_t ix = 0;
+      if (!flat_index(inst, arr, 1, ix)) break;
+      out.real = convert((*buffers_.at(arr))[ix], types_.of(arr), ty);
       count_non_real();
       break;
     }
@@ -383,7 +388,9 @@ private:
       const auto* arr = static_cast<const ir::Array*>(inst->operand(1));
       const ConcreteType at = types_.of(arr);
       const double v = real_operand(inst, 0, at);
-      (*buffers_.at(arr))[flat_index(inst, arr, 2)] = v;
+      std::size_t ix = 0;
+      if (!flat_index(inst, arr, 2, ix)) break;
+      (*buffers_.at(arr))[ix] = v;
       if (opt_.track_array_ranges) observe(arr, v);
       count_non_real();
       break;
@@ -450,17 +457,21 @@ private:
     LUIS_UNREACHABLE("unknown predicate");
   }
 
-  std::size_t flat_index(const Instruction* inst, const ir::Array* arr,
-                         std::size_t first_idx_operand) {
-    std::size_t flat = 0;
+  /// Flat element index of an access into `flat`. An out-of-bounds index
+  /// raises the run's trap instead and returns false.
+  bool flat_index(const Instruction* inst, const ir::Array* arr,
+                  std::size_t first_idx_operand, std::size_t& flat) {
+    flat = 0;
     const auto& dims = arr->dims();
     for (std::size_t d = 0; d < dims.size(); ++d) {
       std::int64_t idx = int_of(inst->operand(first_idx_operand + d));
-      LUIS_ASSERT(idx >= 0 && idx < dims[d],
-                  "array index out of bounds on " + arr->name());
+      if (idx < 0 || idx >= dims[d]) {
+        trap_ = "array index out of bounds on " + arr->name();
+        return false;
+      }
       flat = flat * static_cast<std::size_t>(dims[d]) + static_cast<std::size_t>(idx);
     }
-    return flat;
+    return true;
   }
 
   const ir::Function& f_;
@@ -473,6 +484,7 @@ private:
   CostCounters counters_;
   std::map<std::string, std::pair<double, double>> observed_;
   std::map<const Instruction*, std::pair<double, double>> observed_registers_;
+  std::string trap_; ///< set by an instruction that faults
 };
 
 } // namespace

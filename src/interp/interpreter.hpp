@@ -166,11 +166,11 @@ struct RunOptions {
   /// TAFFO-generated integer code computes.
   bool exact_fixed_arithmetic = false;
   /// When set, the VM engine records per-pc execution counts here (the
-  /// vectors are sized and zeroed by run_program). Ignored by the
-  /// reference engine.
+  /// vectors are sized and zeroed by the executor, interp/batch.hpp).
+  /// Ignored by the reference engine.
   VmProfile* vm_profile = nullptr;
   /// When set, the VM engine runs a lockstep binary64 shadow and records
-  /// per-pc deviation accumulators here (sized and zeroed by run_program).
+  /// per-pc deviation accumulators here (sized and zeroed by the executor).
   /// Quantized results are bit-identical with or without the shadow.
   /// Ignored by the reference engine.
   ErrorProfile* error_profile = nullptr;

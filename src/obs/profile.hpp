@@ -45,7 +45,8 @@ struct HotSpotReport {
 std::vector<std::string> instruction_texts(const ir::Function& f);
 
 /// Builds the report for one profiled run of `program` (compiled from
-/// `f`). `profile` must come from a run_program call on the same program.
+/// `f`). `profile` must come from a run of the same program (a BatchLane's
+/// VmProfile, or RunOptions::vm_profile of a VmEngine run).
 HotSpotReport build_hotspot_report(const interp::CompiledProgram& program,
                                    const ir::Function& f,
                                    const interp::VmProfile& profile,

@@ -62,6 +62,11 @@ std::span<const std::string> kernel_names() {
   return names;
 }
 
+bool is_kernel(const std::string& name) {
+  const std::span<const std::string> names = kernel_names();
+  return std::find(names.begin(), names.end(), name) != names.end();
+}
+
 BuiltKernel build_kernel(const std::string& name, ir::Module& module,
                          bool annotate, DatasetSize size) {
   for (const Entry& e : kKernels) {

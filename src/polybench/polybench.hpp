@@ -37,9 +37,14 @@ struct BuiltKernel {
 /// The 30 kernels, in the row order of the paper's Figure 2.
 std::span<const std::string> kernel_names();
 
+/// True when `name` is one of kernel_names(). Entry points that take a
+/// kernel name from the user check it with this before build_kernel().
+bool is_kernel(const std::string& name);
+
 /// Builds one kernel into `module`. If `annotate` is set (default), array
 /// annotations are derived from a binary64 profiling run; otherwise the
-/// placeholder annotations from construction remain.
+/// placeholder annotations from construction remain. An unknown `name` is
+/// a fatal internal error (see is_kernel()).
 BuiltKernel build_kernel(const std::string& name, ir::Module& module,
                          bool annotate = true,
                          DatasetSize size = DatasetSize::Mini);

@@ -4,7 +4,7 @@
 
 #include "analysis/certificate_check.hpp"
 #include "analysis/error_bounds.hpp"
-#include "interp/bytecode.hpp"
+#include "interp/batch.hpp"
 #include "support/string_utils.hpp"
 #include "testing/ir_fuzz.hpp"
 #include "vra/range_analysis.hpp"
@@ -46,12 +46,10 @@ CheckResult check_shadow_oracle(const ir::Function& f,
                                 const interp::ArrayStore& reference) {
   interp::ArrayStore shadowed = inputs;
   interp::ErrorProfile ep;
-  interp::RunOptions ropt;
-  ropt.error_profile = &ep;
   const interp::CompiledProgram program =
       interp::compile_program(f, assignment);
-  const interp::RunResult run =
-      interp::run_program(program, f, shadowed, ropt);
+  const interp::BatchLane lane{&program, &shadowed, nullptr, &ep};
+  const interp::RunResult run = interp::run_batch_programs({&lane, 1}, f)[0];
   if (!run.ok)
     return CheckResult::fail(
         "shadow-profiled run failed where the plain run succeeded: " +

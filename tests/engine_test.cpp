@@ -5,7 +5,10 @@
 // diagnostics on every trap. These tests replay the regression seed
 // corpus and a set of purpose-built edge kernels (division by zero,
 // negative rem operands, non-finite intermediates, zero-iteration loops,
-// step-limit traps) through both engines and compare everything.
+// step-limit and out-of-bounds traps) through both engines and compare
+// everything. The VM has one executor; the EngineBatch cases hold its
+// one-lane runs (VmEngine::run) equal to its multi-lane runs
+// (VmEngine::run_batch), instrumentation included.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,11 +18,15 @@
 #include <string>
 #include <vector>
 
+#include "core/pipeline.hpp"
 #include "interp/engine.hpp"
 #include "ir/kernel_builder.hpp"
 #include "ir/parser.hpp"
 #include "ir/verifier.hpp"
+#include "platform/optime.hpp"
+#include "polybench/polybench.hpp"
 #include "support/rng.hpp"
+#include "testing/ir_fuzz.hpp"
 
 namespace luis::interp {
 namespace {
@@ -54,6 +61,20 @@ bool buffers_bit_equal(const std::vector<double>& a,
   return a.size() == b.size() &&
          (a.empty() ||
           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// Asserts that two runs agree bit for bit on everything but
+/// instrumentation: outcome, trap text, steps, cost counters, outputs.
+void expect_same_run(const RunResult& want, const ArrayStore& want_store,
+                     const RunResult& got, const ArrayStore& got_store) {
+  EXPECT_EQ(want.ok, got.ok);
+  EXPECT_EQ(want.error, got.error);
+  EXPECT_EQ(want.steps, got.steps);
+  EXPECT_EQ(want.counters.ops, got.counters.ops);
+  EXPECT_EQ(want.counters.non_real_ops, got.counters.non_real_ops);
+  ASSERT_EQ(want_store.size(), got_store.size());
+  for (const auto& [name, buf] : want_store)
+    EXPECT_TRUE(buffers_bit_equal(buf, got_store.at(name))) << "@" << name;
 }
 
 /// Runs `f` through both engines on copies of `inputs` and asserts that
@@ -245,6 +266,38 @@ TEST(Engine, StepLimitTrapAgrees) {
   EXPECT_TRUE(r.counters.ops.empty());
 }
 
+TEST(Engine, OutOfBoundsIndexTrapsInBothEngines) {
+  // The loop runs one iteration too far: the load of @A[8] must trap with
+  // the same diagnostic and step count in both engines, under every
+  // assignment, instead of aborting the process.
+  const char* text = R"(func @overrun {
+  array @A[8] range [0.0, 1.0]
+entry:
+  br loop
+loop:
+  %0 = phi int [ 0, entry ], [ %3, loop ]
+  %1 = load @A[%0]
+  %2 = mul %1, 2.0
+  store %2, @A[%0]
+  %3 = iadd %0, 1
+  %4 = icmp le %3, 8
+  condbr %4, loop, done
+done:
+  ret
+})";
+  ir::Module m;
+  const ir::ParseResult parsed = ir::parse_function(m, text);
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  const ir::Function& f = *parsed.function;
+  const ArrayStore inputs = synth_inputs(f, 19);
+  for (const TypeAssignment& types : assignment_grid(f)) {
+    const RunResult r = expect_engines_agree(f, types, inputs);
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.error, "array index out of bounds on A");
+    EXPECT_GT(r.steps, 8 * 6);
+  }
+}
+
 TEST(Engine, ExactFixedArithmeticAgrees) {
   ir::Module m;
   KernelBuilder kb(m, "exactfix");
@@ -333,7 +386,7 @@ entry:
 // ---- Batched execution (interp/batch.hpp, VmEngine::run_batch) ----------
 
 /// Runs the lane set through VmEngine::run_batch — once with SWAR packing
-/// and once without — and asserts every lane is bit-identical to a scalar
+/// and once without — and asserts every lane is bit-identical to a
 /// ReferenceEngine run of that assignment: outputs, steps, counters,
 /// ranges, and trap diagnostics.
 void expect_batch_matches_reference(const ir::Function& f,
@@ -400,38 +453,12 @@ TEST(EngineBatch, CorpusSeedsMatchReferencePerLane) {
   EXPECT_GE(replayed, 5) << "seed corpus missing from tests/corpus";
 }
 
-TEST(EngineBatch, LaneCountOneBitIdenticalWithScalarVm) {
-  ir::Module m;
-  KernelBuilder kb(m, "one_lane");
-  Array* A = kb.array("A", {8}, 0.0, 1.0);
-  kb.for_loop("i", 0, 8, [&](IVal i) {
-    kb.store(kb.load(A, {i}) * kb.real(3.0) + kb.real(0.125), A, {i});
-  });
-  ir::Function* f = kb.finish();
-  const ArrayStore inputs = synth_inputs(*f, 11);
-  const TypeAssignment fix = TypeAssignment::uniform(*f, {numrep::kFixed32, 12});
-
-  const VmEngine vm;
-  ArrayStore scalar_store = inputs;
-  const RunResult want = vm.run(*f, fix, scalar_store, {});
-
-  ArrayStore batch_store = inputs;
-  const std::vector<BatchRequest> reqs = {{&fix, &batch_store, nullptr}};
-  const std::vector<RunResult> got = vm.run_batch(*f, reqs, {});
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_TRUE(got[0].ok);
-  EXPECT_EQ(want.steps, got[0].steps);
-  EXPECT_EQ(want.counters.ops, got[0].counters.ops);
-  EXPECT_EQ(want.counters.non_real_ops, got[0].counters.non_real_ops);
-  EXPECT_TRUE(buffers_bit_equal(scalar_store.at("A"), batch_store.at("A")));
-}
-
 TEST(EngineBatch, TrapRetiresOneLaneWhileOthersFinish) {
   // acc += 0.001 until acc >= 1.0. In a coarse fixed format the increment
   // quantizes to zero, so that lane spins until the step limit while the
   // float lanes terminate normally — the trapped lane must retire with
-  // the scalar VM's exact diagnostics and step count without disturbing
-  // the survivors.
+  // the reference engine's exact diagnostics and step count without
+  // disturbing the survivors.
   const char* text = R"(func @stall {
   array @A[1] range [0.0, 4.0]
 entry:
@@ -550,7 +577,7 @@ TEST(EngineBatch, MixedSwarAndScalarLaneSets) {
       TypeAssignment::uniform(*f, {numrep::kFixed16, 8}),
       TypeAssignment::uniform(*f, {numrep::kFixed16, 8}), // 2-per-word pair
       TypeAssignment::uniform(*f, {numrep::kPosit16, 0}),
-      TypeAssignment::uniform(*f, {numrep::kFixed16, 9}), // lone: stays scalar
+      TypeAssignment::uniform(*f, {numrep::kFixed16, 9}), // lone: stays unpacked
       {},
   };
   RunOptions opt;
@@ -560,6 +587,8 @@ TEST(EngineBatch, MixedSwarAndScalarLaneSets) {
 }
 
 TEST(EngineBatch, PerLaneProfilesMatchScalarVm) {
+  // Each lane's VmProfile in a multi-lane batch equals the one-lane run
+  // (VmEngine::run) of the same assignment.
   ir::Module m;
   KernelBuilder kb(m, "profiled");
   Array* A = kb.array("A", {8}, 0.0, 1.0);
@@ -586,11 +615,11 @@ TEST(EngineBatch, PerLaneProfilesMatchScalarVm) {
   const std::vector<RunResult> got = vm.run_batch(*f, reqs, {});
   for (std::size_t i = 0; i < lanes.size(); ++i) {
     ASSERT_TRUE(got[i].ok) << got[i].error;
-    ArrayStore scalar_store = inputs;
+    ArrayStore one_store = inputs;
     VmProfile want;
     RunOptions opt;
     opt.vm_profile = &want;
-    ASSERT_TRUE(vm.run(*f, lanes[i], scalar_store, opt).ok);
+    ASSERT_TRUE(vm.run(*f, lanes[i], one_store, opt).ok);
     EXPECT_EQ(want.instr_executions, profiles[i].instr_executions)
         << "lane " << i;
     EXPECT_EQ(want.edge_applications, profiles[i].edge_applications)
@@ -622,7 +651,7 @@ void expect_error_cells_equal(const std::vector<ErrorCell>& want,
 }
 
 /// Field-by-field equality of a batch lane's shadow-error profile with
-/// the scalar VM's — down to histogram buckets and spike step numbers.
+/// a one-lane run's — down to histogram buckets and spike step numbers.
 void expect_error_profiles_equal(const ErrorProfile& want,
                                  const ErrorProfile& got, std::size_t lane) {
   expect_error_cells_equal(want.instr, got.instr, "instr", lane);
@@ -661,10 +690,160 @@ void expect_error_profiles_equal(const ErrorProfile& want,
   }
 }
 
+TEST(EngineBatch, LaneCountOneBitIdenticalWithScalarVm) {
+  // VmEngine::run is the executor's one-lane instantiation. On every Mini
+  // kernel, under the tuned Fast/Balanced/Multi assignments for Stm32 and
+  // one random assignment, it must equal the reference engine, and equal
+  // the same assignment run as lane 1 of a three-lane batch — with SWAR
+  // packing available, and with a VmProfile and an ErrorProfile attached,
+  // compared down to the histogram buckets.
+  const ReferenceEngine ref;
+  const VmEngine vm;
+  Rng rng(0x0E1A);
+  for (const std::string& name : polybench::kernel_names()) {
+    ir::Module m;
+    const polybench::BuiltKernel built = polybench::build_kernel(name, m);
+    const ir::Function& f = *built.function;
+    std::vector<std::pair<std::string, TypeAssignment>> cases;
+    for (const core::TuningConfig& config :
+         {core::TuningConfig::fast(), core::TuningConfig::balanced(),
+          core::TuningConfig::multi()})
+      cases.emplace_back(config.name, core::tune_kernel(*built.function,
+                                                        platform::stm32_table(),
+                                                        config)
+                                          .allocation.assignment);
+    cases.emplace_back("random", testing::random_type_assignment(f, rng));
+    const TypeAssignment b64;
+    const TypeAssignment b32 = TypeAssignment::uniform(f, {numrep::kBinary32, 0});
+
+    for (const auto& [label, types] : cases) {
+      SCOPED_TRACE(name + " " + label);
+      ArrayStore ref_store = built.inputs;
+      const RunResult want = ref.run(f, types, ref_store);
+
+      ArrayStore one_store = built.inputs;
+      VmProfile one_profile;
+      ErrorProfile one_errors;
+      RunOptions ropt;
+      ropt.vm_profile = &one_profile;
+      ropt.error_profile = &one_errors;
+      const RunResult one = vm.run(f, types, one_store, ropt);
+      expect_same_run(want, ref_store, one, one_store);
+
+      for (const bool instrumented : {false, true}) {
+        SCOPED_TRACE(instrumented ? "instrumented lane 1" : "plain lane 1");
+        std::vector<ArrayStore> stores(3, built.inputs);
+        VmProfile profile;
+        ErrorProfile errors;
+        const std::vector<BatchRequest> reqs = {
+            {&b64, &stores[0], nullptr, nullptr},
+            {&types, &stores[1], instrumented ? &profile : nullptr,
+             instrumented ? &errors : nullptr},
+            {&b32, &stores[2], nullptr, nullptr}};
+        const std::vector<RunResult> got = vm.run_batch(f, reqs);
+        ASSERT_EQ(got.size(), 3u);
+        expect_same_run(one, one_store, got[1], stores[1]);
+        if (!instrumented) continue;
+        EXPECT_EQ(one_profile.instr_executions, profile.instr_executions);
+        EXPECT_EQ(one_profile.edge_applications, profile.edge_applications);
+        EXPECT_EQ(one_profile.select_real_first, profile.select_real_first);
+        expect_error_profiles_equal(one_errors, errors, 1);
+      }
+    }
+  }
+}
+
+TEST(EngineBatch, UniformOutOfBoundsIndexRetiresTheWholeGroup) {
+  // The index is the loop counter, the same in every lane: all three
+  // lanes trap together with the reference diagnostic and step count.
+  const char* text = R"(func @overrun {
+  array @A[8] range [0.0, 1.0]
+entry:
+  br loop
+loop:
+  %0 = phi int [ 0, entry ], [ %2, loop ]
+  %1 = load @A[%0]
+  store %1, @A[%0]
+  %2 = iadd %0, 1
+  %3 = icmp le %2, 8
+  condbr %3, loop, done
+done:
+  ret
+})";
+  ir::Module m;
+  const ir::ParseResult parsed = ir::parse_function(m, text);
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  const ir::Function& f = *parsed.function;
+  const std::vector<TypeAssignment> lanes = {
+      {},
+      TypeAssignment::uniform(f, {numrep::kBinary32, 0}),
+      TypeAssignment::uniform(f, {numrep::kFixed32, 16}),
+  };
+  const ArrayStore inputs = synth_inputs(f, 20);
+  expect_batch_matches_reference(f, lanes, inputs);
+
+  const VmEngine vm;
+  std::vector<ArrayStore> stores(lanes.size(), inputs);
+  std::vector<BatchRequest> reqs(lanes.size());
+  for (std::size_t i = 0; i < lanes.size(); ++i)
+    reqs[i] = {&lanes[i], &stores[i], nullptr};
+  const std::vector<RunResult> got = vm.run_batch(f, reqs);
+  for (const RunResult& r : got) {
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.error, "array index out of bounds on A");
+    EXPECT_EQ(r.steps, got[0].steps);
+  }
+}
+
+TEST(EngineBatch, VaryingOutOfBoundsIndexRetiresOnlyFaultingLanes) {
+  // The index depends on an fcmp of a quantized value: 0.49 < 0.5 holds in
+  // binary64 and binary32 (index 1), but fix8 with 2 fractional bits
+  // rounds 0.49 to 0.5 (index 8, one past the end). Only that lane traps;
+  // the others store and finish.
+  const char* text = R"(func @pick {
+  array @A[8] range [0.0, 1.0]
+entry:
+  %0 = load @A[0]
+  %1 = fcmp lt %0, 0.5
+  %2 = select %1, 1, 8
+  store %0, @A[%2]
+  ret
+})";
+  ir::Module m;
+  const ir::ParseResult parsed = ir::parse_function(m, text);
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  const ir::Function& f = *parsed.function;
+  const std::vector<TypeAssignment> lanes = {
+      {},
+      TypeAssignment::uniform(f, {numrep::NumericFormat::fixed(8), 2}),
+      TypeAssignment::uniform(f, {numrep::kBinary32, 0}),
+  };
+  ArrayStore inputs;
+  inputs["A"] = {0.49, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+  expect_batch_matches_reference(f, lanes, inputs);
+  const RunResult alone = expect_engines_agree(f, lanes[1], inputs);
+  EXPECT_EQ(alone.error, "array index out of bounds on A");
+
+  const VmEngine vm;
+  std::vector<ArrayStore> stores(lanes.size(), inputs);
+  std::vector<BatchRequest> reqs(lanes.size());
+  for (std::size_t i = 0; i < lanes.size(); ++i)
+    reqs[i] = {&lanes[i], &stores[i], nullptr};
+  const std::vector<RunResult> got = vm.run_batch(f, reqs);
+  EXPECT_TRUE(got[0].ok) << got[0].error;
+  EXPECT_FALSE(got[1].ok);
+  EXPECT_EQ(got[1].error, "array index out of bounds on A");
+  EXPECT_EQ(got[1].steps, alone.steps);
+  EXPECT_TRUE(got[2].ok) << got[2].error;
+  EXPECT_EQ(stores[0].at("A")[1], 0.49);
+  EXPECT_EQ(stores[2].at("A")[1], static_cast<double>(0.49f));
+}
+
 TEST(EngineBatch, PerLaneErrorProfilesMatchScalarVm) {
   // A loop-carried real phi keeps the phi-move cells busy; the fcmp/
   // select pair gives coarse lanes room for control divergences. Every
-  // accumulator of every lane must agree with the scalar VM bit for bit.
+  // accumulator of every lane of a four-lane batch must agree bit for bit
+  // with the one-lane run (VmEngine::run) of the same assignment.
   ir::Module m;
   KernelBuilder kb(m, "err_profiled");
   Array* A = kb.array("A", {8}, 0.0, 1.0);
@@ -697,12 +876,12 @@ TEST(EngineBatch, PerLaneErrorProfilesMatchScalarVm) {
   bool any_error_observed = false;
   for (std::size_t i = 0; i < lanes.size(); ++i) {
     ASSERT_TRUE(got[i].ok) << got[i].error;
-    ArrayStore scalar_store = inputs;
+    ArrayStore one_store = inputs;
     ErrorProfile want;
     RunOptions opt;
     opt.error_profile = &want;
-    ASSERT_TRUE(vm.run(*f, lanes[i], scalar_store, opt).ok);
-    EXPECT_TRUE(buffers_bit_equal(scalar_store.at("A"), stores[i].at("A")))
+    ASSERT_TRUE(vm.run(*f, lanes[i], one_store, opt).ok);
+    EXPECT_TRUE(buffers_bit_equal(one_store.at("A"), stores[i].at("A")))
         << "lane " << i;
     expect_error_profiles_equal(want, errors[i], i);
     for (const ErrorCell& c : errors[i].instr)
@@ -717,7 +896,7 @@ TEST(EngineBatch, PerLaneErrorProfilesMatchScalarVm) {
 TEST(EngineBatch, TrapRetiredLaneErrorProfileMatchesScalarVm) {
   // The stall kernel again: the coarse fixed lane spins to the step
   // limit and is trap-retired mid-batch. Its profile must freeze exactly
-  // where the scalar VM's does — same cell counts, not finalized, no
+  // where the one-lane run's does — same cell counts, not finalized, no
   // per-array stats — while the surviving lanes finalize normally.
   const char* text = R"(func @stall_err {
   array @A[1] range [0.0, 4.0]
@@ -758,11 +937,11 @@ done:
   EXPECT_FALSE(errors[1].finalized);
   EXPECT_TRUE(errors[0].finalized && errors[2].finalized);
   for (std::size_t i = 0; i < lanes.size(); ++i) {
-    ArrayStore scalar_store = inputs;
+    ArrayStore one_store = inputs;
     ErrorProfile want;
     RunOptions sopt = opt;
     sopt.error_profile = &want;
-    const RunResult sres = vm.run(f, lanes[i], scalar_store, sopt);
+    const RunResult sres = vm.run(f, lanes[i], one_store, sopt);
     EXPECT_EQ(sres.ok, got[i].ok) << "lane " << i;
     EXPECT_EQ(sres.steps, got[i].steps) << "lane " << i;
     expect_error_profiles_equal(want, errors[i], i);
@@ -824,7 +1003,7 @@ TEST(EngineBatch, SharesProgramCacheWithScalarRuns) {
     reqs[i] = {&lanes[i], &stores[i], nullptr};
   ASSERT_TRUE(vm.run_batch(*f, reqs, {}).at(1).ok);
   EXPECT_EQ(cache.stats().hits, 1);       // lane 0 served from the cache
-  EXPECT_EQ(cache.stats().insertions, 2); // scalar run + missing lane 1
+  EXPECT_EQ(cache.stats().insertions, 2); // one-lane run + missing lane 1
   // A second batch is all hits.
   std::vector<ArrayStore> stores2(lanes.size(), inputs);
   for (std::size_t i = 0; i < lanes.size(); ++i) reqs[i].store = &stores2[i];

@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "analysis/certificate_check.hpp"
-#include "interp/bytecode.hpp"
+#include "interp/batch.hpp"
 #include "interp/engine.hpp"
 #include "interp/interpreter.hpp"
 #include "ir/parser.hpp"
@@ -30,6 +30,15 @@
 
 namespace luis {
 namespace {
+
+/// Runs a compiled program through the VM executor as a batch of one.
+interp::RunResult run_one(const interp::CompiledProgram& program,
+                          const ir::Function& f, interp::ArrayStore& store,
+                          interp::VmProfile* profile = nullptr,
+                          interp::ErrorProfile* errors = nullptr) {
+  const interp::BatchLane lane{&program, &store, profile, errors};
+  return interp::run_batch_programs({&lane, 1}, f)[0];
+}
 
 bool bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
   return a.size() == b.size() &&
@@ -54,11 +63,8 @@ ProfiledRun profiled_run(const std::string& kernel, ir::Module& module,
   ProfiledRun out;
   out.program = interp::compile_program(*built.function, types, {});
   out.outputs = built.inputs;
-  interp::RunOptions opt;
-  opt.error_profile = &out.errors;
-  opt.vm_profile = vm_profile;
-  const interp::RunResult run =
-      interp::run_program(out.program, *built.function, out.outputs, opt);
+  const interp::RunResult run = run_one(out.program, *built.function,
+                                       out.outputs, vm_profile, &out.errors);
   EXPECT_TRUE(run.ok) << kernel << ": " << run.error;
   EXPECT_TRUE(out.errors.finalized) << kernel;
   return out;
@@ -75,9 +81,8 @@ TEST(ErrorProfile, ShadowIsAPureObserver) {
     const interp::TypeAssignment b32 = interp::TypeAssignment::uniform(
         *plain.function, {numrep::kBinary32, 0});
     interp::ArrayStore unprofiled = plain.inputs;
-    ASSERT_TRUE(interp::run_program(
-                    interp::compile_program(*plain.function, b32, {}),
-                    *plain.function, unprofiled, {})
+    ASSERT_TRUE(run_one(interp::compile_program(*plain.function, b32, {}),
+                        *plain.function, unprofiled)
                     .ok);
 
     const ProfiledRun prof =
@@ -89,9 +94,8 @@ TEST(ErrorProfile, ShadowIsAPureObserver) {
     ASSERT_EQ(prof.errors.control_divergences, 0) << kernel;
     const polybench::BuiltKernel ref = polybench::build_kernel(kernel, m_ref);
     interp::ArrayStore binary64 = ref.inputs;
-    ASSERT_TRUE(interp::run_program(
-                    interp::compile_program(*ref.function, {}, {}),
-                    *ref.function, binary64, {})
+    ASSERT_TRUE(run_one(interp::compile_program(*ref.function, {}, {}),
+                        *ref.function, binary64)
                     .ok);
     for (const auto& [name, buf] : binary64)
       EXPECT_TRUE(bits_equal(buf, prof.errors.shadow_arrays.at(name)))
@@ -171,12 +175,9 @@ done:
   interp::ArrayStore store;
   store["A"] = {0.25, 0.375, 0.5, 0.625, 0.6875, 0.75, 0.875, 1.0};
   interp::ErrorProfile ep;
-  interp::RunOptions opt;
-  opt.error_profile = &ep;
   const interp::CompiledProgram program =
       interp::compile_program(*parsed.function, coarse, {});
-  ASSERT_TRUE(
-      interp::run_program(program, *parsed.function, store, opt).ok);
+  ASSERT_TRUE(run_one(program, *parsed.function, store, nullptr, &ep).ok);
 
   EXPECT_GE(ep.first_spike_step, 0);
   EXPECT_GE(ep.first_spike_src, 0);

@@ -19,7 +19,7 @@
 
 #include "core/pipeline.hpp"
 #include "core/sweep.hpp"
-#include "interp/bytecode.hpp"
+#include "interp/batch.hpp"
 #include "obs/build_info.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
@@ -435,11 +435,10 @@ void expect_exact_attribution(const std::string& kernel,
       interp::compile_program(*built.function, types, {});
 
   interp::VmProfile profile;
-  interp::RunOptions opt;
-  opt.vm_profile = &profile;
   interp::ArrayStore store = built.inputs;
+  const interp::BatchLane lane{&program, &store, &profile, nullptr};
   const interp::RunResult run =
-      interp::run_program(program, *built.function, store, opt);
+      interp::run_batch_programs({&lane, 1}, *built.function)[0];
   ASSERT_TRUE(run.ok) << run.error;
 
   const platform::OpTimeTable& table = platform::stm32_table();
@@ -494,11 +493,10 @@ TEST(Profile, AttributionIsExactUnderATunedMixedAssignment) {
   const interp::CompiledProgram program = interp::compile_program(
       *built.function, tuned.allocation.assignment, {});
   interp::VmProfile profile;
-  interp::RunOptions opt;
-  opt.vm_profile = &profile;
   interp::ArrayStore store = built.inputs;
+  const interp::BatchLane lane{&program, &store, &profile, nullptr};
   const interp::RunResult run =
-      interp::run_program(program, *built.function, store, opt);
+      interp::run_batch_programs({&lane, 1}, *built.function)[0];
   ASSERT_TRUE(run.ok) << run.error;
 
   const HotSpotReport report =
@@ -517,10 +515,9 @@ TEST(Profile, ReportRendersTextAndValidJson) {
   const interp::CompiledProgram program =
       interp::compile_program(*built.function, types, {});
   interp::VmProfile profile;
-  interp::RunOptions opt;
-  opt.vm_profile = &profile;
   interp::ArrayStore store = built.inputs;
-  ASSERT_TRUE(interp::run_program(program, *built.function, store, opt).ok);
+  const interp::BatchLane lane{&program, &store, &profile, nullptr};
+  ASSERT_TRUE(interp::run_batch_programs({&lane, 1}, *built.function)[0].ok);
 
   const HotSpotReport report = build_hotspot_report(
       program, *built.function, profile, platform::stm32_table());

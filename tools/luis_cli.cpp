@@ -95,15 +95,15 @@
 //                         1 = serial reference path, same results)
 //   --max-nodes N         branch & bound node limit per solve (default 3000)
 //   --no-taffo            skip the greedy TAFFO baseline rows
-//   --no-batch            one scalar engine run per job instead of batched
-//                         per-kernel lane execution (results identical)
 //   --errors              shadow-execute every tuned job: per-job rows
 //                         (text, JSON, metrics registry) gain the
 //                         in-engine shadow MPE, max abs/rel deviation,
 //                         and control-divergence count
 //   --engine vm|ref       execution engine for every interpretation
 //                         (default vm: compile once per (kernel,
-//                         assignment), cache the program)
+//                         assignment), cache the program, run each
+//                         kernel's tuned assignments as lanes of one
+//                         batch; ref: one reference run per lane)
 //   --no-cache            disable the shared solver result cache and the
 //                         vm engine's compiled-program cache
 //   --no-check            skip the serial determinism re-check
@@ -405,6 +405,11 @@ int cmd_emit(const std::vector<std::string>& args) {
   std::string out_path;
   for (std::size_t i = 1; i + 1 < args.size() + 1; ++i)
     if (args[i - 1] == "-o" && i < args.size()) out_path = args[i];
+  if (!polybench::is_kernel(args[0])) {
+    std::fprintf(stderr, "luis emit: unknown kernel '%s' (see luis kernels)\n",
+                 args[0].c_str());
+    return usage();
+  }
   ir::Module module;
   polybench::BuiltKernel kernel = polybench::build_kernel(args[0], module);
   const std::string text = ir::print_function(*kernel.function);
@@ -1089,8 +1094,6 @@ int cmd_sweep(const std::vector<std::string>& args) {
       opt.use_cache = false;
     } else if (a == "--no-check") {
       opt.check_determinism = false;
-    } else if (a == "--no-batch") {
-      opt.batch = false;
     } else if (a == "--errors") {
       opt.errors = true;
     } else if (a == "--json" && has_value) {
@@ -1110,6 +1113,13 @@ int cmd_sweep(const std::vector<std::string>& args) {
       return usage();
     }
   }
+  for (const std::string& k : opt.kernels)
+    if (!polybench::is_kernel(k)) {
+      std::fprintf(stderr,
+                   "luis sweep: unknown kernel '%s' (see luis kernels)\n",
+                   k.c_str());
+      return usage();
+    }
   const core::SweepResult result = core::run_sweep(opt);
 
   std::printf("%-14s %-9s %-10s %10s %10s %9s %6s%s\n", "kernel", "config",
@@ -1289,10 +1299,9 @@ int cmd_profile(const std::vector<std::string>& args) {
   interp::ArrayStore store = synth_inputs(*f);
   interp::VmProfile profile;
   interp::ErrorProfile errors;
-  interp::RunOptions ropt;
-  ropt.vm_profile = &profile;
-  if (with_errors) ropt.error_profile = &errors;
-  const interp::RunResult run = interp::run_program(program, *f, store, ropt);
+  const interp::BatchLane lane{&program, &store, &profile,
+                               with_errors ? &errors : nullptr};
+  const interp::RunResult run = interp::run_batch_programs({&lane, 1}, *f)[0];
   if (!run.ok) {
     std::fprintf(stderr, "luis: execution failed: %s\n", run.error.c_str());
     return 1;

@@ -1,38 +1,28 @@
-// Sweep interpretation throughput: batched lane execution vs. one VM run
-// per job, on the exact workload the sweep driver hands the engine.
+// Batched-execution gate: the lanes the sweep driver hands the engine
+// must run bit-identically to the tree-walking ReferenceEngine.
 //
-// Setup (untimed): every kernel's (config x platform) grid — the Multi
-// preset plus the three Table III presets over all four platforms — is
-// tuned via core::run_sweep, and each job's tuned assignment is reloaded
-// through assignment_io. That reproduces the sweep's interpretation
-// workload faithfully, duplicates included: distinct (config, platform)
-// jobs frequently tune to the same assignment, and exploiting that is
-// part of the batched path's design (core/sweep.cpp dedups lanes the
-// same way).
+// Set-up: every kernel's (config x platform) grid — the Multi preset plus
+// the three Table III presets over all four platforms — is tuned via
+// core::run_sweep, and each job's tuned assignment is reloaded through
+// assignment_io. That reproduces the sweep's interpretation workload
+// faithfully, duplicates included: distinct (config, platform) jobs
+// frequently tune to the same assignment, and the sweep's batch path
+// dedups them into unique lanes (core/sweep.cpp) the same way this gate
+// does.
 //
-// Timed, per kernel:
-//   scalar  one engine.run() per grid job (a batch of one lane each) — the
-//           pre-batching sweep loop; the column keeps its name, and the
-//           JSON its "scalar_seconds" field, for comparison with older
-//           BENCH_engine.json records;
-//   batch   dedup the job assignments into unique lanes, then one
-//           engine.run_batch() — what the sweep's batch path executes.
+// Gate, per kernel: one engine.run_batch() over the unique lanes, each
+// lane checked bit-for-bit against a reference run — verdict, error text,
+// step count, cost counters, and every output buffer. A mismatch prints
+// the kernel, lane and field and exits 1.
 //
-// Before timing, every unique lane is checked bit-for-bit against the
-// tree-walking ReferenceEngine — verdict, error text, step count, cost
-// counters, and every output buffer. A mismatch aborts with exit 1: a
-// wrong engine must not report a throughput number. Both timed modes run
-// against the same warm ProgramCache (the verify pass fills it), so the
-// numbers isolate interpretation, exactly like a cached sweep.
+//   bench_engine [--kernels a,b,c] [--configs c1,c2] [--json PATH]
 //
-//   bench_engine [--kernels a,b,c] [--configs c1,c2] [--reps N]
-//                [--json PATH]
-//
-// Prints one line per kernel and an aggregate; the aggregate speedup is
-// the number quoted in docs/INTERP.md ("Batched execution") and recorded
-// in BENCH_engine.json by the bench-engine-smoke CI job via --json.
+// Prints one line per kernel (jobs, unique lanes) and the program-cache
+// counts. --json writes the same deterministic record (BENCH_engine.json,
+// uploaded by the bench-engine-smoke CI job). Timing lives in perfbench:
+// the `execute` workload's traced run reports interp.batch_ms_per_lane
+// against interp.run_ms_p50.
 #include <bit>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -50,12 +40,6 @@
 using namespace luis;
 
 namespace {
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 struct Lane {
   std::string label; ///< "config/platform" of the job that tuned it
@@ -127,7 +111,7 @@ bool buffers_bit_equal(const std::vector<double>& a,
 
 /// One batched run over the unique lanes, checked bit-for-bit against a
 /// reference run per lane. Returns false (after printing the mismatch) on
-/// any divergence. Also the warm-up that fills the program cache.
+/// any divergence.
 bool verify_lanes(const interp::VmEngine& vm, const ir::Function& f,
                   const std::vector<Lane>& lanes,
                   const std::vector<std::size_t>& unique,
@@ -168,52 +152,21 @@ bool verify_lanes(const interp::VmEngine& vm, const ir::Function& f,
   return true;
 }
 
-/// `reps` one-lane executions of every grid job: the pre-batching sweep
-/// loop interprets each job separately, duplicate assignments included.
-double time_scalar(const interp::VmEngine& vm, const ir::Function& f,
-                   const std::vector<Lane>& lanes,
-                   const interp::ArrayStore& inputs, int reps) {
-  const double t0 = now_seconds();
-  for (int r = 0; r < reps; ++r)
-    for (const Lane& lane : lanes) {
-      interp::ArrayStore store = inputs;
-      (void)vm.run(f, lane.types, store);
-    }
-  return now_seconds() - t0;
-}
-
-/// `reps` batched executions of the same workload: dedup (timed — the
-/// sweep pays for it too) plus one run_batch over the unique lanes.
-double time_batch(const interp::VmEngine& vm, const ir::Function& f,
-                  const std::vector<Lane>& lanes,
-                  const interp::ArrayStore& inputs, int reps) {
-  const double t0 = now_seconds();
-  for (int r = 0; r < reps; ++r) {
-    const std::vector<std::size_t> unique = unique_lane_indices(lanes);
-    std::vector<interp::ArrayStore> stores(unique.size(), inputs);
-    std::vector<interp::BatchRequest> reqs(unique.size());
-    for (std::size_t i = 0; i < unique.size(); ++i)
-      reqs[i] = {&lanes[unique[i]].types, &stores[i], nullptr};
-    (void)vm.run_batch(f, reqs);
-  }
-  return now_seconds() - t0;
-}
-
 struct KernelRow {
   std::string kernel;
   std::size_t jobs = 0;
   std::size_t unique = 0;
-  double scalar_seconds = 0.0;
-  double batch_seconds = 0.0;
 };
 
 } // namespace
 
+
 int main(int argc, char** argv) {
+  const char* const kUsage = "usage: bench_engine [--kernels a,b,c] "
+                             "[--configs c1,c2] [--json PATH]\n";
   std::vector<std::string> kernels = {"gemm", "atax", "bicg",
                                       "mvt",  "syrk", "jacobi-2d"};
   std::vector<std::string> configs = {"Fast", "Balanced", "Precise", "Multi"};
-  int reps = 5;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -221,32 +174,26 @@ int main(int argc, char** argv) {
       kernels = split_fields(argv[++i], ',');
     } else if (a == "--configs" && i + 1 < argc) {
       configs = split_fields(argv[++i], ',');
-    } else if (a == "--reps" && i + 1 < argc) {
-      reps = std::atoi(argv[++i]);
     } else if (a == "--json" && i + 1 < argc) {
       json_path = argv[++i];
     } else {
-      std::fprintf(stderr, "usage: bench_engine [--kernels a,b,c] "
-                           "[--configs c1,c2] [--reps N] [--json PATH]\n");
+      std::fputs(kUsage, stderr);
       return 2;
     }
   }
   for (const std::string& name : kernels)
     if (!polybench::is_kernel(name)) {
-      std::fprintf(stderr, "bench_engine: unknown kernel '%s'\n"
-                           "usage: bench_engine [--kernels a,b,c] "
-                           "[--configs c1,c2] [--reps N] [--json PATH]\n",
-                   name.c_str());
+      std::fprintf(stderr, "bench_engine: unknown kernel '%s'\n%s",
+                   name.c_str(), kUsage);
       return 2;
     }
 
   interp::ProgramCache cache;
   const interp::VmEngine vm(&cache);
 
-  std::printf("%-14s %6s %8s %12s %12s %9s\n", "kernel", "jobs", "unique",
-              "scalar[ms]", "batch[ms]", "speedup");
+  std::printf("%-14s %6s %8s\n", "kernel", "jobs", "unique");
   std::vector<KernelRow> rows;
-  double scalar_total = 0.0, batch_total = 0.0;
+  std::size_t jobs_total = 0, unique_total = 0;
   for (const std::string& name : kernels) {
     ir::Module module;
     const polybench::BuiltKernel kernel = polybench::build_kernel(name, module);
@@ -255,23 +202,18 @@ int main(int argc, char** argv) {
     const std::vector<std::size_t> unique = unique_lane_indices(lanes);
     if (!verify_lanes(vm, *kernel.function, lanes, unique, kernel.inputs))
       return 1;
-    const double t_scalar =
-        time_scalar(vm, *kernel.function, lanes, kernel.inputs, reps);
-    const double t_batch =
-        time_batch(vm, *kernel.function, lanes, kernel.inputs, reps);
-    scalar_total += t_scalar;
-    batch_total += t_batch;
-    rows.push_back({name, lanes.size(), unique.size(), t_scalar, t_batch});
-    std::printf("%-14s %6zu %8zu %12.2f %12.2f %8.2fx\n", name.c_str(),
-                lanes.size(), unique.size(), t_scalar * 1e3, t_batch * 1e3,
-                t_scalar / t_batch);
+    jobs_total += lanes.size();
+    unique_total += unique.size();
+    rows.push_back({name, lanes.size(), unique.size()});
+    std::printf("%-14s %6zu %8zu\n", name.c_str(), lanes.size(),
+                unique.size());
   }
   const interp::ProgramCache::Stats stats = cache.stats();
   std::printf("\nprogram cache: %ld lookups, %ld hits, %ld insertions\n",
               stats.lookups, stats.hits, stats.insertions);
-  std::printf("aggregate: scalar %.2f s, batch %.2f s, speedup %.2fx "
-              "(all lanes verified against the reference engine)\n",
-              scalar_total, batch_total, scalar_total / batch_total);
+  std::printf("aggregate: %zu jobs, %zu unique lanes, all lanes verified "
+              "against the reference engine\n",
+              jobs_total, unique_total);
 
   if (!json_path.empty()) {
     JsonWriter w;
@@ -281,7 +223,6 @@ int main(int argc, char** argv) {
     w.begin_array();
     for (const std::string& c : configs) w.value(c);
     w.end_array();
-    w.key("reps"), w.value(reps);
     w.newline();
     w.key("kernels");
     w.begin_array();
@@ -291,10 +232,6 @@ int main(int argc, char** argv) {
       w.key("kernel"), w.value(row.kernel);
       w.key("jobs"), w.value(row.jobs);
       w.key("unique_lanes"), w.value(row.unique);
-      w.key("scalar_seconds"), w.value(row.scalar_seconds, "%.6g");
-      w.key("batch_seconds"), w.value(row.batch_seconds, "%.6g");
-      w.key("speedup"), w.value(row.scalar_seconds / row.batch_seconds,
-                                "%.4g");
       w.end_object();
     }
     w.newline();
@@ -302,9 +239,8 @@ int main(int argc, char** argv) {
     w.newline();
     w.key("aggregate");
     w.begin_object();
-    w.key("scalar_seconds"), w.value(scalar_total, "%.6g");
-    w.key("batch_seconds"), w.value(batch_total, "%.6g");
-    w.key("speedup"), w.value(scalar_total / batch_total, "%.4g");
+    w.key("jobs"), w.value(jobs_total);
+    w.key("unique_lanes"), w.value(unique_total);
     w.key("verified"), w.value(true);
     w.end_object();
     w.end_object();

@@ -3,7 +3,7 @@
 // B&B, most-fractional branching) and with the new default (sparse revised
 // core, warm-started B&B, pseudo-cost branching), then compares answers —
 // they must agree on the optimum, ideally on the exact assignment — and
-// work (nodes, simplex iterations, solve seconds).
+// work (nodes, simplex iterations).
 //
 // Both the merged type-class formulation (the default) and the paper's
 // literal per-register formulation are measured; the literal models are an
@@ -11,7 +11,9 @@
 //
 // Writes BENCH_ilp.json (machine-readable record, one entry per kernel and
 // shape) and exits nonzero on any optimum mismatch, so CI can run it as a
-// smoke job on the largest models.
+// smoke job on the largest models. Every recorded field is deterministic;
+// solver time is measured by perfbench (ilp.bnb_ms in the `tune`
+// workload's traced run).
 //
 // Usage: bench_ilp [--out FILE] [--merged-only] [kernel...]
 //        (no kernels = all 30)
@@ -38,7 +40,6 @@ struct CoreRun {
   ilp::SolveStatus status = ilp::SolveStatus::Optimal;
   long nodes = 0;
   long iterations = 0;
-  double solve_seconds = 0.0;
   double objective = 0.0;
   std::size_t model_variables = 0;
   std::size_t model_constraints = 0;
@@ -67,7 +68,6 @@ CoreRun run_config(const std::string& kernel, bool literal, bool baseline) {
   out.status = tuned.allocation.stats.status;
   out.nodes = tuned.allocation.stats.nodes;
   out.iterations = tuned.allocation.stats.iterations;
-  out.solve_seconds = tuned.allocation.stats.solve_seconds;
   out.objective = tuned.allocation.stats.objective;
   out.model_variables = tuned.allocation.stats.model_variables;
   out.model_constraints = tuned.allocation.stats.model_constraints;
@@ -84,8 +84,6 @@ void write_run(JsonWriter& w, const CoreRun& r) {
   w.value(r.nodes);
   w.key("iterations");
   w.value(r.iterations);
-  w.key("solve_seconds");
-  w.value(r.solve_seconds, "%.6g");
   w.key("objective");
   w.value(r.objective, "%.17g");
   w.end_object();
@@ -122,10 +120,9 @@ int main(int argc, char** argv) {
 
   std::printf("=== ILP solver gate: old (dense, cold, most-fractional) vs "
               "new (revised, warm, pseudo-cost) ===\n\n");
-  std::printf("%-16s %-7s %6s %6s | %7s %8s %9s | %7s %8s %9s | %6s %6s %s\n",
-              "kernel", "shape", "vars", "rows", "o.nodes", "o.iters",
-              "o.sec", "n.nodes", "n.iters", "n.sec", "nodeX", "timeX",
-              "assign");
+  std::printf("%-16s %-7s %6s %6s | %7s %8s | %7s %8s | %6s %s\n", "kernel",
+              "shape", "vars", "rows", "o.nodes", "o.iters", "n.nodes",
+              "n.iters", "nodeX", "assign");
 
   JsonWriter w;
   w.begin_object();
@@ -139,10 +136,9 @@ int main(int argc, char** argv) {
   w.begin_array();
 
   bool mismatch = false;
-  double node_sum = 0.0, time_sum = 0.0;
+  double node_sum = 0.0;
   int cells = 0;
-  double largest_vars = 0.0, largest_node_ratio = 0.0,
-         largest_time_ratio = 0.0;
+  double largest_vars = 0.0, largest_node_ratio = 0.0;
   std::string largest_kernel;
   for (const std::string& kernel : kernels) {
     for (const bool literal : {false, true}) {
@@ -162,24 +158,20 @@ int main(int argc, char** argv) {
 
       const double nx = ratio(static_cast<double>(before.nodes),
                               static_cast<double>(after.nodes));
-      const double tx = ratio(before.solve_seconds, after.solve_seconds);
       node_sum += nx;
-      time_sum += tx;
       ++cells;
       if (static_cast<double>(before.model_variables) > largest_vars) {
         largest_vars = static_cast<double>(before.model_variables);
         largest_kernel = kernel + (literal ? " (literal)" : " (merged)");
         largest_node_ratio = nx;
-        largest_time_ratio = tx;
       }
 
-      std::printf("%-16s %-7s %6zu %6zu | %7ld %8ld %9.4f | %7ld %8ld "
-                  "%9.4f | %5.1fx %5.1fx %s%s\n",
+      std::printf("%-16s %-7s %6zu %6zu | %7ld %8ld | %7ld %8ld | %5.1fx "
+                  "%s%s\n",
                   kernel.c_str(), literal ? "literal" : "merged",
                   before.model_variables, before.model_constraints,
-                  before.nodes, before.iterations, before.solve_seconds,
-                  after.nodes, after.iterations, after.solve_seconds, nx, tx,
-                  assignment_same ? "same" : "tied-alt",
+                  before.nodes, before.iterations, after.nodes,
+                  after.iterations, nx, assignment_same ? "same" : "tied-alt",
                   objective_ok ? "" : "  ** OPTIMUM MISMATCH **");
 
       w.newline();
@@ -198,8 +190,6 @@ int main(int argc, char** argv) {
       write_run(w, after);
       w.key("node_ratio");
       w.value(nx, "%.4g");
-      w.key("time_ratio");
-      w.value(tx, "%.4g");
       w.key("objectives_match");
       w.value(objective_ok);
       w.key("assignments_identical");
@@ -216,14 +206,10 @@ int main(int argc, char** argv) {
   w.value(cells);
   w.key("mean_node_ratio");
   w.value(node_sum / cells, "%.4g");
-  w.key("mean_time_ratio");
-  w.value(time_sum / cells, "%.4g");
   w.key("largest_model");
   w.value(largest_kernel);
   w.key("largest_node_ratio");
   w.value(largest_node_ratio, "%.4g");
-  w.key("largest_time_ratio");
-  w.value(largest_time_ratio, "%.4g");
   w.key("all_optima_match");
   w.value(!mismatch);
   w.end_object();
@@ -231,10 +217,10 @@ int main(int argc, char** argv) {
   w.newline();
 
   std::ofstream(out_path) << w.str();
-  std::printf("\nMean node ratio %.2fx, mean solve-time ratio %.2fx; "
-              "largest model (%s): %.2fx nodes, %.2fx time.\nWrote %s\n",
-              node_sum / cells, time_sum / cells, largest_kernel.c_str(),
-              largest_node_ratio, largest_time_ratio, out_path.c_str());
+  std::printf("\nMean node ratio %.2fx; largest model (%s): %.2fx nodes.\n"
+              "Wrote %s\n",
+              node_sum / cells, largest_kernel.c_str(), largest_node_ratio,
+              out_path.c_str());
   if (mismatch) {
     std::printf("FAIL: old and new solvers disagree on at least one "
                 "optimum.\n");

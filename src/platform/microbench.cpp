@@ -5,6 +5,9 @@
 #include <ctime>
 #include <limits>
 
+#include "numrep/fixed_posit.hpp"
+#include "numrep/soft_float.hpp"
+
 namespace luis::platform {
 namespace {
 
@@ -33,21 +36,47 @@ double time_blocks(const MicrobenchOptions& opt, T seed, Step step) {
   return best;
 }
 
+/// The five arithmetic rows of a software-emulated type class, timed as
+/// the VM executes them: the double op, then `quantize` into the format.
+/// The chains are the native double rows' chains; every value stays
+/// finite and nonzero in both emulated formats.
+template <typename Quantize>
+void set_emulated_rows(OpTimeTable& table, const MicrobenchOptions& opt,
+                       const char* type, Quantize quantize) {
+  table.set("add", type, time_blocks<double>(opt, 1.0, [&](double x) {
+              return quantize(x + 1.25);
+            }));
+  table.set("sub", type, time_blocks<double>(opt, 1.0, [&](double x) {
+              return quantize(x - 1.25);
+            }));
+  table.set("mul", type, time_blocks<double>(opt, 1.5, [&](double x) {
+              return quantize(x * 0.999999999);
+            }));
+  table.set("div", type, time_blocks<double>(opt, 1.5, [&](double x) {
+              return quantize(x / 1.000000001);
+            }));
+  table.set("rem", type, time_blocks<double>(opt, 123.456, [&](double x) {
+              return quantize(std::fmod(x, 7.89) + 123.0);
+            }));
+}
+
 } // namespace
 
 OpTimeTable run_microbenchmark(const MicrobenchOptions& opt) {
   OpTimeTable table("host");
 
   // Arithmetic. Operand values keep every chain numerically stable so the
-  // loop cannot hit inf/NaN slow paths.
-  table.set("add", "fix", time_blocks<std::int32_t>(opt, 1, [](std::int32_t x) {
-              return x + 12345;
+  // loop cannot hit inf/NaN slow paths. The add/sub/mul chains outrun
+  // int32 over the blocks, so they wrap in uint32 (defined, and the same
+  // instructions as signed arithmetic).
+  table.set("add", "fix", time_blocks<std::uint32_t>(opt, 1, [](std::uint32_t x) {
+              return x + 12345u;
             }));
-  table.set("sub", "fix", time_blocks<std::int32_t>(opt, 1, [](std::int32_t x) {
-              return x - 12345;
+  table.set("sub", "fix", time_blocks<std::uint32_t>(opt, 1, [](std::uint32_t x) {
+              return x - 12345u;
             }));
-  table.set("mul", "fix", time_blocks<std::int32_t>(opt, 3, [](std::int32_t x) {
-              return x * 3;
+  table.set("mul", "fix", time_blocks<std::uint32_t>(opt, 3, [](std::uint32_t x) {
+              return x * 3u;
             }));
   table.set("div", "fix", time_blocks<std::int32_t>(opt, 1 << 30,
                                                     [](std::int32_t x) {
@@ -85,6 +114,16 @@ OpTimeTable run_microbenchmark(const MicrobenchOptions& opt) {
   table.set("rem", "double", time_blocks<double>(opt, 123.456, [](double x) {
               return std::fmod(x, 7.89) + 123.0;
             }));
+
+  // Software-emulated classes (no hardware unit on any host): fp8 priced
+  // by e4m3, fposit by fposit16_1_4, the formats the canned tables'
+  // kSoftEmulated ratios were measured on.
+  set_emulated_rows(table, opt, "fp8", [](double x) {
+    return numrep::round_to_format(numrep::kFp8E4M3, x);
+  });
+  set_emulated_rows(table, opt, "fposit", [](double x) {
+    return numrep::quantize_fixed_posit(numrep::kFixedPosit16, x);
+  });
 
   // Casts: each block round-trips through the target type; the cast pair
   // dominates the loop body.

@@ -4,7 +4,10 @@
 // operation (add/sub/mul/div/rem) in each native type class (int32 for
 // fixed point, float, double) and of every cross-class cast, using
 // clock_gettime(CLOCK_PROCESS_CPUTIME_ID) exactly as the paper does on the
-// Linux machines. The resulting table is normalized to the fastest
+// Linux machines. Beyond §IV-C, the same procedure prices the software-
+// emulated classes fp8 and fposit: each of their arithmetic rows times a
+// double op followed by the quantize into e4m3 / fposit16_1_4, which is
+// what the VM executes for them. The resulting table is normalized to the fastest
 // operation. The benchmark only needs to run once per target and is
 // independent of the program being tuned.
 #pragma once

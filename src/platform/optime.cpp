@@ -10,8 +10,9 @@ namespace luis::platform {
 namespace {
 
 /// Reduces extension type classes to a class the table measures. fp8 and
-/// fposit arithmetic has explicit measured rows (kSoftEmulated below), so
-/// this fallback only fires for their unmeasured ops (casts).
+/// fposit arithmetic has explicit measured rows (kSoftEmulated below in
+/// the canned tables, run_microbenchmark's rows in a host table), so this
+/// fallback only fires for their unmeasured ops (casts).
 std::string reduce_type(const std::string& type) {
   if (type == "half" || type == "bfloat16" || type == "fp8") return "float";
   if (type == "posit" || type == "fposit") return "float";
@@ -141,24 +142,30 @@ constexpr Row kTable2[] = {
 };
 
 // Software-emulated representations (no hardware units on any Table II
-// machine): explicit arithmetic rows derived from the bench_micro SoftEmu
-// pass instead of the old scaled cost-class factors (fp8 used to price
-// like hardware float, fposit like float x kPositSoftwareFactor — both
-// guesses). The pass times the VM's emulation sequence (double op +
-// quantize into the format, operands pre-quantized) against the native
-// float op it displaces; the per-op time ratio below is that quotient.
+// machine): explicit arithmetic rows, the platform's own float row scaled
+// by a measured emulated / native time ratio, instead of the old scaled
+// cost-class guesses (fp8 priced like hardware float, fposit like float x
+// kPositSoftwareFactor). The emulation sequence is what the VM executes:
+// a double op, then the quantize into the format (e4m3, fposit16_1_4).
 //
-// Provenance — re-measure with `bench_micro --benchmark_filter=SoftEmu`
-// and update when the emulation code changes:
-//   2026-08-08, Intel Xeon @ 2.70GHz, gcc 12.2.0 -O2, google-benchmark
-//   CPU time, >= 4.7M iterations per op.
+// Provenance. `luis characterize` (platform/microbench.cpp) times that
+// sequence next to the native rows; a ratio below is its fp8 (or fposit)
+// row over its float row for the same op. Re-measure there when the
+// emulation code changes. The committed ratios were taken on
+//   2026-08-08, Intel Xeon @ 2.70GHz, gcc 12.2.0 -O2, with independent
+//   operands (throughput, >= 4.7M ops per row):
 //     float   : add 0.92ns  mul 0.92ns  div 1.05ns  rem 6.58ns
 //     e4m3    : add 29.8ns  mul 34.0ns  div 32.4ns  rem 37.9ns
 //     fposit16: add 58.8ns  mul 64.4ns  div 63.2ns  rem 72.8ns
+// `luis characterize` times dependent chains (latency, the §IV-C
+// procedure), where the float op's own latency is a larger share: on an
+// Intel Xeon (gcc 12.2.0, RelWithDebInfo) it reads fp8/float add 13,
+// mul 10, div 6, rem 2.8 and fposit/float add 16-17, mul 14-15, div 8-10,
+// rem 4.2-4.6. The canned tables keep the committed ratios so the Figure 2
+// grid does not move; a host table carries its own measured rows.
 // The ratio is dominated by the host's integer pipeline (decode, clamp,
 // re-encode), not the float datapath, so it transfers across machines far
-// better than an absolute time: each platform's row is its own float row
-// scaled by the measured ratio. rem ratios are small only because float
+// better than an absolute time. rem ratios are small only because float
 // rem is itself a library call.
 struct SoftEmulatedRow {
   const char* op;

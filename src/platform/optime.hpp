@@ -34,8 +34,8 @@ public:
   /// Fallback rules for entries a table does not measure directly:
   ///  - half and bfloat16 fall back to the float datapath;
   ///  - fp8 and fposit arithmetic uses explicit measured rows (the
-  ///    bench_micro SoftEmu pass; see optime.cpp) — only their casts
-  ///    fall back;
+  ///    fp8/float and fposit/float row ratios of `luis characterize`;
+  ///    see optime.cpp) — only their casts fall back;
   ///  - posit arithmetic falls back to float times a software-emulation
   ///    factor (posits have no hardware here);
   ///  - neg/abs/min/max cost like add (keeping a measured row's type

@@ -48,9 +48,10 @@ TEST(OpTimeTable, ExtensionTypeFallbacks) {
 }
 
 TEST(OpTimeTable, SoftwareEmulatedRowsAreMeasuredNotScaled) {
-  // fp8 and fposit arithmetic carries explicit rows from the bench_micro
-  // SoftEmu pass (emulated op / native float op time ratios), replacing
-  // the old scaled-class guesses (fp8 = float, fposit = float x 8).
+  // fp8 and fposit arithmetic carries explicit rows: committed emulated-op
+  // / native-float-op time ratios, the quotient of the fp8 (or fposit) and
+  // float rows `luis characterize` measures on a host. They replace the
+  // old scaled-class guesses (fp8 = float, fposit = float x 8).
   for (const OpTimeTable* t : standard_platforms()) {
     EXPECT_TRUE(t->has("add", "fp8")) << t->machine();
     EXPECT_TRUE(t->has("mul", "fposit")) << t->machine();
@@ -134,6 +135,14 @@ TEST(Microbench, ProducesCompleteNormalizedTable) {
     }
   // Normalization anchors the fastest entry at 1.0.
   EXPECT_DOUBLE_EQ(min_entry, 1.0);
+  // The software-emulated classes are measured too (double op + quantize),
+  // and emulation costs more than the hardware float op it displaces.
+  for (const char* op : {"add", "sub", "mul", "div", "rem"})
+    for (const char* type : {"fp8", "fposit"}) {
+      EXPECT_TRUE(host.has(op, type)) << op << " " << type;
+      EXPECT_GT(host.op_time(op, type), host.op_time(op, "float"))
+          << op << " " << type;
+    }
 }
 
 TEST(OpTimeTableIo, TextRoundTrip) {

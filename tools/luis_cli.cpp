@@ -163,9 +163,14 @@
 // ones.
 //
 // Every verb that parses IR verifies it and exits non-zero on verifier
-// errors, so the tool is usable as a pre-commit check.
+// errors, so the tool is usable as a pre-commit check. A numeric option
+// must be one whole, finite number in its range (counts >= 0, --max-nodes
+// and --vra-max-passes >= 1, --vra-clamp > 0); anything else, like an
+// unknown sweep kernel, config or platform name, exits 2 with a message.
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -175,6 +180,8 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/certificate_check.hpp"
@@ -217,6 +224,62 @@ int usage() {
                "[args]\n(see the "
                "header of tools/luis_cli.cpp for the full option list)\n");
   return 2;
+}
+
+/// Strict numeric flag value: the whole token must parse as a T (decimal;
+/// unsigned flags also take a 0x hex prefix), be finite, and lie in
+/// [lo, hi]. Otherwise reports, naming the flag, and returns false; the
+/// caller exits 2.
+template <typename T>
+bool parse_flag(const std::string& flag, const std::string& text, T lo, T hi,
+                T& out) {
+  const char* first = text.data();
+  const char* const last = first + text.size();
+  int base = 10;
+  if constexpr (std::is_unsigned_v<T>)
+    if (text.size() > 2 && text[0] == '0' && (text[1] == 'x' || text[1] == 'X')) {
+      first += 2;
+      base = 16;
+    }
+  T value{};
+  std::from_chars_result r;
+  if constexpr (std::is_floating_point_v<T>)
+    r = std::from_chars(first, last, value);
+  else
+    r = std::from_chars(first, last, value, base);
+  bool ok = first != last && r.ec == std::errc() && r.ptr == last &&
+            value >= lo && value <= hi;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    std::ostringstream range;
+    range << '[' << lo << ", " << hi << ']';
+    std::fprintf(stderr, "luis: %s wants a number in %s, got '%s'\n",
+                 flag.c_str(), range.str().c_str(), text.c_str());
+    return false;
+  }
+  out = value;
+  return true;
+}
+
+constexpr int kIntMax = std::numeric_limits<int>::max();
+constexpr long kLongMax = std::numeric_limits<long>::max();
+constexpr double kRealMax = std::numeric_limits<double>::max();
+
+/// The numeric VRA fixpoint knobs shared by tune, lint, check and sweep.
+bool is_vra_flag(const std::string& flag) {
+  return flag == "--vra-max-passes" || flag == "--vra-widen-after" ||
+         flag == "--vra-clamp";
+}
+
+/// Parses the value of an is_vra_flag() flag into `vra`.
+bool parse_vra_flag(const std::string& flag, const std::string& value,
+                    vra::VraOptions& vra) {
+  if (flag == "--vra-max-passes")
+    return parse_flag(flag, value, 1, kIntMax, vra.max_passes);
+  if (flag == "--vra-widen-after")
+    return parse_flag(flag, value, 0, kIntMax, vra.widen_after);
+  return parse_flag(flag, value, std::numeric_limits<double>::min(), kRealMax,
+                    vra.clamp);
 }
 
 /// Parses an --engine value; reports and returns nullopt on junk.
@@ -507,12 +570,8 @@ int cmd_tune(const std::vector<std::string>& args) {
       options.lint = core::LintMode::Error;
     } else if (a == "--types") {
       if (!parse_types_list(next(), config)) return 2;
-    } else if (a == "--vra-max-passes") {
-      options.vra.max_passes = std::atoi(next().c_str());
-    } else if (a == "--vra-widen-after") {
-      options.vra.widen_after = std::atoi(next().c_str());
-    } else if (a == "--vra-clamp") {
-      options.vra.clamp = std::atof(next().c_str());
+    } else if (is_vra_flag(a)) {
+      if (!parse_vra_flag(a, next(), options.vra)) return 2;
     } else if (a == "--join-stores") {
       options.vra.join_stores = true;
     } else {
@@ -603,19 +662,18 @@ int cmd_lint(const std::vector<std::string>& args) {
     } else if (a == "--format") {
       format = next();
     } else if (a == "--threshold") {
-      lint_options.precision_loss_threshold = std::atoi(next().c_str());
+      if (!parse_flag(a, next(), 0, kIntMax,
+                      lint_options.precision_loss_threshold))
+        return 2;
     } else if (a == "--max-rel-error") {
-      lint_options.max_rel_error = std::atof(next().c_str());
+      if (!parse_flag(a, next(), 0.0, kRealMax, lint_options.max_rel_error))
+        return 2;
     } else if (a == "--werror") {
       werror = true;
     } else if (a == "--types") {
       if (!parse_types_list(next(), config)) return 2;
-    } else if (a == "--vra-max-passes") {
-      options.vra.max_passes = std::atoi(next().c_str());
-    } else if (a == "--vra-widen-after") {
-      options.vra.widen_after = std::atoi(next().c_str());
-    } else if (a == "--vra-clamp") {
-      options.vra.clamp = std::atof(next().c_str());
+    } else if (is_vra_flag(a)) {
+      if (!parse_vra_flag(a, next(), options.vra)) return 2;
     } else if (a == "--join-stores") {
       options.vra.join_stores = true;
     } else {
@@ -704,19 +762,15 @@ int cmd_check(const std::vector<std::string>& args) {
     } else if (a == "--assignment") {
       assignment_path = next();
     } else if (a == "--max-rel-error") {
-      max_rel_error = std::atof(next().c_str());
+      if (!parse_flag(a, next(), 0.0, kRealMax, max_rel_error)) return 2;
     } else if (a == "--format") {
       format = next();
     } else if (a == "--json") {
       json_path = next();
     } else if (a == "--types") {
       if (!parse_types_list(next(), config)) return 2;
-    } else if (a == "--vra-max-passes") {
-      options.vra.max_passes = std::atoi(next().c_str());
-    } else if (a == "--vra-widen-after") {
-      options.vra.widen_after = std::atoi(next().c_str());
-    } else if (a == "--vra-clamp") {
-      options.vra.clamp = std::atof(next().c_str());
+    } else if (is_vra_flag(a)) {
+      if (!parse_vra_flag(a, next(), options.vra)) return 2;
     } else if (a == "--join-stores") {
       options.vra.join_stores = true;
     } else {
@@ -1068,6 +1122,10 @@ int cmd_characterize(const std::vector<std::string>& args) {
   return 0;
 }
 
+/// The presets core::run_sweep tunes by name.
+constexpr std::string_view kSweepConfigs[] = {"Precise", "Balanced", "Fast",
+                                              "Multi"};
+
 int cmd_sweep(const std::vector<std::string>& args) {
   core::SweepOptions opt;
   opt.verbose = true; // --quiet turns the progress lines off
@@ -1082,9 +1140,10 @@ int cmd_sweep(const std::vector<std::string>& args) {
     } else if (a == "--platforms" && has_value) {
       opt.platforms = split_fields(args[++i], ',');
     } else if (a == "--threads" && has_value) {
-      opt.threads = std::atoi(args[++i].c_str());
+      if (!parse_flag(a, args[++i], 0, kIntMax, opt.threads)) return 2;
     } else if (a == "--max-nodes" && has_value) {
-      opt.solver_max_nodes = std::atol(args[++i].c_str());
+      if (!parse_flag(a, args[++i], 1L, kLongMax, opt.solver_max_nodes))
+        return 2;
     } else if (a == "--no-taffo") {
       opt.include_taffo = false;
     } else if (a == "--engine" && has_value) {
@@ -1098,12 +1157,8 @@ int cmd_sweep(const std::vector<std::string>& args) {
       opt.errors = true;
     } else if (a == "--json" && has_value) {
       json_path = args[++i];
-    } else if (a == "--vra-max-passes" && has_value) {
-      opt.vra.max_passes = std::atoi(args[++i].c_str());
-    } else if (a == "--vra-widen-after" && has_value) {
-      opt.vra.widen_after = std::atoi(args[++i].c_str());
-    } else if (a == "--vra-clamp" && has_value) {
-      opt.vra.clamp = std::atof(args[++i].c_str());
+    } else if (is_vra_flag(a) && has_value) {
+      if (!parse_vra_flag(a, args[++i], opt.vra)) return 2;
     } else if (a == "--join-stores") {
       opt.vra.join_stores = true;
     } else if (a == "--quiet") {
@@ -1118,6 +1173,23 @@ int cmd_sweep(const std::vector<std::string>& args) {
       std::fprintf(stderr,
                    "luis sweep: unknown kernel '%s' (see luis kernels)\n",
                    k.c_str());
+      return usage();
+    }
+  for (const std::string& c : opt.configs)
+    if (std::find(std::begin(kSweepConfigs), std::end(kSweepConfigs), c) ==
+        std::end(kSweepConfigs)) {
+      std::fprintf(stderr,
+                   "luis sweep: unknown config '%s' (want Precise, Balanced, "
+                   "Fast or Multi)\n",
+                   c.c_str());
+      return usage();
+    }
+  for (const std::string& p : opt.platforms)
+    if (!platform::platform_by_name(p)) {
+      std::fprintf(stderr,
+                   "luis sweep: unknown platform '%s' (want Stm32, "
+                   "Raspberry, Intel or AMD)\n",
+                   p.c_str());
       return usage();
     }
   const core::SweepResult result = core::run_sweep(opt);
@@ -1180,11 +1252,13 @@ int cmd_fuzz(const std::vector<std::string>& args) {
         return 2;
       }
     } else if (a == "--trials" && has_value) {
-      opt.trials = std::atol(args[++i].c_str());
+      if (!parse_flag(a, args[++i], 0L, kLongMax, opt.trials)) return 2;
     } else if (a == "--seconds" && has_value) {
-      opt.seconds = std::atof(args[++i].c_str());
+      if (!parse_flag(a, args[++i], 0.0, kRealMax, opt.seconds)) return 2;
     } else if (a == "--seed" && has_value) {
-      opt.seed = std::strtoull(args[++i].c_str(), nullptr, 0);
+      if (!parse_flag(a, args[++i], std::uint64_t{0},
+                      std::numeric_limits<std::uint64_t>::max(), opt.seed))
+        return 2;
     } else if (a == "--artifacts" && has_value) {
       opt.artifacts_dir = args[++i];
     } else if (a == "--corpus" && has_value) {
@@ -1259,7 +1333,9 @@ int cmd_profile(const std::vector<std::string>& args) {
     } else if (a == "--assignment") {
       assignment_path = next();
     } else if (a == "--top") {
-      top = static_cast<std::size_t>(std::atol(next().c_str()));
+      if (!parse_flag(a, next(), std::size_t{0},
+                      std::numeric_limits<std::size_t>::max(), top))
+        return 2;
     } else if (a == "--json") {
       json_path = next();
     } else if (a == "--errors") {
